@@ -1,8 +1,12 @@
 """HL7 v2 message model and ER7 ("pipe and hat") codec.
 
-A message is an immutable tree: message -> segments -> fields -> repetitions
--> components -> subcomponent strings.  Fields are addressed from 1, HL7
-style; index 0 is the segment name and is not addressable.
+A message is an immutable list of segments.  A segment read from ER7 keeps
+its raw field tokens (one split on the field separator) and turns a field
+into repetitions -> components -> subcomponent strings, unescaped, only when
+that field is first read; the result is cached.  Serializing a parsed
+segment emits its raw tokens wherever that gives the same bytes as the
+tree.  Fields are addressed from 1, HL7 style; index 0 is the segment name
+and is not addressable.
 
 Bytes on the wire are ASCII-compatible; anything outside ASCII is carried
 opaquely by decoding/encoding as latin-1, so byte values survive a parse /
@@ -147,16 +151,41 @@ def _field_from_value(value) -> Field:
     return (tuple(components),)
 
 
-@dataclass(frozen=True)
 class Hl7Segment:
-    """One named segment; ``fields[k - 1]`` is HL7 field k."""
+    """One named segment; ``fields[k - 1]`` is HL7 field k.
 
-    name: str
-    fields: tuple[Field, ...] = ()
+    A built segment holds its fields.  A parsed one holds the raw ER7 token
+    of each field and parses a field on its first read.  Either way the
+    segment is equal to, and hashes like, any segment with the same name and
+    fields.
+    """
 
-    def __post_init__(self):
-        if len(self.name) != 3:
-            raise ValueError(f"segment name must be 3 characters: {self.name!r}")
+    __slots__ = ("name", "_fields", "_tokens", "_enc")
+
+    def __init__(self, name: str, fields: tuple[Field, ...] = ()):
+        if len(name) != 3:
+            raise ValueError(f"segment name must be 3 characters: {name!r}")
+        self.name = name
+        self._fields: tuple[Field, ...] | list[Field | None] = tuple(fields)
+        self._tokens: tuple[str, ...] | None = None
+        self._enc: EncodingChars | None = None
+
+    @classmethod
+    def from_tokens(
+        cls, name: str, tokens, enc: EncodingChars = DEFAULT_ENCODING
+    ) -> "Hl7Segment":
+        """A segment over raw ER7 field tokens: ``tokens[k - 1]`` is the
+        escaped text of field k.  For MSH, tokens 0 and 1 are the field
+        separator and the encoding characters.
+
+        Tokens are taken as given: none may hold the field separator or a
+        line break.
+        """
+        seg = cls(name)
+        seg._tokens = tuple(tokens)
+        seg._fields = [None] * len(seg._tokens)
+        seg._enc = enc
+        return seg
 
     @classmethod
     def build(cls, name: str, *values) -> "Hl7Segment":
@@ -176,13 +205,31 @@ class Hl7Segment:
         fields.extend(_field_from_value(v) for v in values)
         return cls("MSH", tuple(fields))
 
+    @property
+    def fields(self) -> tuple[Field, ...]:
+        fields = self._fields
+        if not isinstance(fields, tuple):
+            fields = tuple(self.field(k) for k in range(1, len(fields) + 1))
+            self._fields = fields
+        return fields
+
     def field(self, index: int) -> Field | None:
         """Field at 1-based ``index``, or None beyond the last field."""
         if index < 1:
             raise IndexError("field indices start at 1")
-        if index > len(self.fields):
+        fields = self._fields
+        if index > len(fields):
             return None
-        return self.fields[index - 1]
+        f = fields[index - 1]
+        if f is None:
+            token = self._tokens[index - 1]
+            if self.name == "MSH" and index <= 2:
+                # The separator and the encoding characters are verbatim.
+                f = (((token,),),)
+            else:
+                f = _parse_field(token, self._enc)
+            fields[index - 1] = f
+        return f
 
     def field_text(self, index: int, enc: EncodingChars = DEFAULT_ENCODING) -> str | None:
         """Full display text of a field (all repetitions), or None if absent."""
@@ -190,6 +237,17 @@ class Hl7Segment:
         if f is None:
             return None
         return _join_field(f, enc)
+
+    def __eq__(self, other):
+        if not isinstance(other, Hl7Segment):
+            return NotImplemented
+        return self.name == other.name and self.fields == other.fields
+
+    def __hash__(self):
+        return hash((self.name, self.fields))
+
+    def __repr__(self):
+        return f"Hl7Segment(name={self.name!r}, fields={self.fields!r})"
 
 
 def _join_field(f: Field, enc: EncodingChars) -> str:
@@ -280,7 +338,7 @@ def parse_segment(raw: str, enc: EncodingChars = DEFAULT_ENCODING) -> Hl7Segment
     if len(raw) < 3:
         raise MalformedSegment(f"segment name shorter than 3 characters: {raw!r}")
     name = raw[:3]
-    if name[0] not in _NAME_FIRST or any(c not in _NAME_REST for c in name[1:]):
+    if name[0] not in _NAME_FIRST or name[1] not in _NAME_REST or name[2] not in _NAME_REST:
         raise MalformedSegment(f"invalid segment name: {name!r}")
     if len(raw) == 3:
         return Hl7Segment(name)
@@ -288,15 +346,12 @@ def parse_segment(raw: str, enc: EncodingChars = DEFAULT_ENCODING) -> Hl7Segment
         raise MalformedSegment(
             f"segment name not followed by field separator: {raw[:4]!r}"
         )
-    tokens = raw[4:].split(enc.field_sep)
-    fields: list[Field]
     if name == "MSH":
-        fields = [(((enc.field_sep,),),), (((tokens[0],),),)]
-        tokens = tokens[1:]
+        tokens = raw[3:].split(enc.field_sep)
+        tokens[0] = enc.field_sep
     else:
-        fields = []
-    fields.extend(_parse_field(tok, enc) for tok in tokens)
-    return Hl7Segment(name, tuple(fields))
+        tokens = raw[4:].split(enc.field_sep)
+    return Hl7Segment.from_tokens(name, tokens, enc)
 
 
 def _encoding_from_msh(line: str) -> EncodingChars:
@@ -346,21 +401,28 @@ def serialize_segment(seg: Hl7Segment, enc: EncodingChars = DEFAULT_ENCODING) ->
     Trailing empty fields are dropped and separator characters inside
     values are escaped.
     """
-    texts = [_serialize_field(f, enc) for f in seg.fields]
-    if seg.name == "MSH":
-        if texts:
-            # Field 1 is the separator itself; field 2 goes out verbatim.
-            texts[0] = ""
-            if len(texts) >= 2:
-                texts[1] = _raw_field_text(seg.fields[1])
-        floor = min(len(texts), 2)
+    is_msh = seg.name == "MSH"
+    tokens = seg._tokens
+    if tokens is not None and (seg._enc is enc or seg._enc == enc):
+        # A token without the escape character serializes back to itself,
+        # so only tokens holding one go through the tree.
+        esc = enc.escape_char
+        texts = list(tokens)
+        for k in range(2 if is_msh else 0, len(texts)):
+            if esc in texts[k]:
+                texts[k] = _serialize_field(seg.field(k + 1), enc)
     else:
-        floor = 0
+        texts = [_serialize_field(f, enc) for f in seg.fields]
+        if is_msh and len(texts) >= 2:
+            # Field 2 goes out verbatim.
+            texts[1] = _raw_field_text(seg.fields[1])
+    # MSH field 1 is the separator itself: never dropped, never emitted.
+    floor = min(len(texts), 2) if is_msh else 0
     while len(texts) > floor and texts[-1] == "":
         texts.pop()
     if not texts:
         return seg.name
-    if seg.name == "MSH":
+    if is_msh:
         return seg.name + enc.field_sep + enc.field_sep.join(texts[1:])
     return seg.name + enc.field_sep + enc.field_sep.join(texts)
 

@@ -21,6 +21,7 @@ from .er7 import (
     Hl7Message,
     Hl7Segment,
     MalformedSegment,
+    encode_escapes,
 )
 from .lexicon import LanguagePack, RegistryHolder
 from .mllp import (
@@ -235,23 +236,39 @@ _FALLBACK_PACK = LanguagePack(
 def build_patient_query(
     cnp: str, user: str, password: str, control_id: str
 ) -> Hl7Message:
-    """QBP-style patient lookup: MSH + QPD (the CNP) + RCP."""
-    timestamp = time.strftime("%Y%m%d%H%M%S")
-    msh = Hl7Segment.build_msh(
-        "HL7PORTAL",
-        "PORTAL",
-        "",
-        "",
-        timestamp,
-        f"{user}:{password}",
-        ("QBP", "Q22"),
-        control_id,
-        "P",
-        "2.3.1",
+    """QBP-style patient lookup: MSH + QPD (the CNP) + RCP.
+
+    A fixed template in the default encoding; only the credentials, the
+    control id and the CNP are escaped.  None of them may hold a CR, LF or
+    MLLP framing byte (see ``Interpreter``).
+    """
+    control = encode_escapes(control_id)
+    msh = Hl7Segment.from_tokens(
+        "MSH",
+        (
+            "|",
+            "^~\\&",
+            "HL7PORTAL",
+            "PORTAL",
+            "",
+            "",
+            time.strftime("%Y%m%d%H%M%S"),
+            encode_escapes(f"{user}:{password}"),
+            "QBP^Q22",
+            control,
+            "P",
+            "2.3.1",
+        ),
     )
-    qpd = Hl7Segment.build("QPD", ("Q22", "Find Candidates"), control_id, cnp)
-    rcp = Hl7Segment.build("RCP", "I", ("1", "RD"))
+    qpd = Hl7Segment.from_tokens(
+        "QPD", ("Q22^Find Candidates", control, encode_escapes(cnp))
+    )
+    rcp = Hl7Segment.from_tokens("RCP", ("I", "1^RD"))
     return Hl7Message((msh, qpd, rcp))
+
+
+# Bytes that would end a query segment or its MLLP frame early.
+_ILLEGAL_ARGUMENT_CHARS = frozenset("\r\n\x0b\x1c")
 
 
 class Interpreter:
@@ -316,8 +333,23 @@ class Interpreter:
         )
         return False
 
+    def _clean_args(
+        self, session: Session, request: CommandRequest, names: tuple[str, ...]
+    ) -> bool:
+        """Arity check, then refuse arguments that would reach the upstream
+        query with a line break or framing byte in them."""
+        if not self._expect_args(session, request, len(names)):
+            return False
+        for name, value in zip(names, request.args):
+            if not _ILLEGAL_ARGUMENT_CHARS.isdisjoint(value):
+                session.last_error = (
+                    f"{request.name}: argument {name} holds a control character"
+                )
+                return False
+        return True
+
     def _connect_cmd(self, session: Session, request: CommandRequest) -> str:
-        if not self._expect_args(session, request, 4):
+        if not self._clean_args(session, request, ("host", "port", "user", "password")):
             return NOK
         host, port_text, user, password = request.args
         try:
@@ -339,7 +371,7 @@ class Interpreter:
         return OK
 
     def _use_patient(self, session: Session, request: CommandRequest) -> str:
-        if not self._expect_args(session, request, 2):
+        if not self._clean_args(session, request, ("cnp", "language")):
             return NOK
         cnp, language = request.args
         if not cnp:

@@ -10,7 +10,7 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .er7 import Hl7Message, parse_message, serialize_message
 
@@ -19,6 +19,9 @@ logger = logging.getLogger(__name__)
 START_BYTE = 0x0B
 END_BYTE = 0x1C
 CARRIAGE_RETURN = 0x0D
+
+_HEADER = bytes([START_BYTE])
+_TRAILER = bytes([END_BYTE, CARRIAGE_RETURN])
 
 DEFAULT_MAX_FRAME = 1024 * 1024
 DEFAULT_TIMEOUT_MS = 5000
@@ -46,9 +49,9 @@ class ConnectionLost(Exception):
 
 def frame(payload: bytes) -> bytes:
     """Wrap one message payload in an MLLP envelope."""
-    if any(b in (START_BYTE, END_BYTE) for b in payload):
+    if START_BYTE in payload or END_BYTE in payload:
         raise IllegalPayloadByte("payload contains an MLLP framing byte")
-    return bytes([START_BYTE]) + payload + bytes([END_BYTE, CARRIAGE_RETURN])
+    return _HEADER + payload + _TRAILER
 
 
 class Deframer:
@@ -163,7 +166,9 @@ class UpstreamConnection:
         """Send one framed query and block for one framed response.
 
         Raises ExchangeTimeout, ConnectionLost, FrameTooLarge, or the
-        parser's MalformedSegment; FrameTooLarge also closes the connection.
+        parser's MalformedSegment.  A timeout or an oversized frame also
+        closes the connection, so a late reply can never be read as the
+        answer to a later query.
         """
         with self._lock:
             if self._closed:
@@ -177,6 +182,7 @@ class UpstreamConnection:
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
+                    self.close()
                     raise ExchangeTimeout(
                         f"no response within {self.endpoint.timeout_ms} ms"
                     )
@@ -184,6 +190,7 @@ class UpstreamConnection:
                 try:
                     chunk = self._sock.recv(65536)
                 except socket.timeout:
+                    self.close()
                     raise ExchangeTimeout(
                         f"no response within {self.endpoint.timeout_ms} ms"
                     ) from None

@@ -148,7 +148,9 @@ class MockHl7Server:
                 conn.close()
             except OSError:
                 pass
-        for thread in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
             thread.join(timeout=5)
 
     def _accept_loop(self) -> None:
@@ -160,13 +162,14 @@ class MockHl7Server:
             except OSError:
                 return
             conn.settimeout(None)
-            with self._lock:
-                self._connections.add(conn)
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
             )
+            # Registered before it runs: a connection drops its own thread.
+            with self._lock:
+                self._connections.add(conn)
+                self._threads.append(thread)
             thread.start()
-            self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
         deframer = Deframer()
@@ -192,6 +195,7 @@ class MockHl7Server:
         finally:
             with self._lock:
                 self._connections.discard(conn)
+                self._threads.remove(threading.current_thread())
             try:
                 conn.close()
             except OSError:

@@ -164,7 +164,9 @@ class PortalServer:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-        for thread in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for thread in threads:
             thread.join(timeout=5)
         self.log.close()
 
@@ -188,8 +190,10 @@ class PortalServer:
             thread = threading.Thread(
                 target=self._run_session, args=(session_id, conn, peer), daemon=True
             )
+            # Registered before it runs: a session drops its own thread.
+            with self._lock:
+                self._threads.append(thread)
             thread.start()
-            self._threads.append(thread)
 
     def _refuse(self, conn: socket.socket, peer) -> None:
         # Over the client limit: one NOK line, then drop.  No CONNECT or
@@ -247,6 +251,7 @@ class PortalServer:
                 session.upstream.close()
             with self._lock:
                 self._session_conns.pop(session_id, None)
+                self._threads.remove(threading.current_thread())
             try:
                 conn.close()
             except OSError:

@@ -187,3 +187,70 @@ class TestSerialize:
         assert back == msg.normalized()
         # Parsing is pure: same input, same result.
         assert parse_message(serialize_message(msg)) == back
+
+
+def eager_copy(msg: Hl7Message) -> Hl7Message:
+    """The same message with every segment built from its parsed fields."""
+    return Hl7Message(
+        tuple(Hl7Segment(seg.name, seg.fields) for seg in msg.segments), msg.encoding
+    )
+
+
+# Raw ER7 whose tokens hold known, unknown and dangling escapes, empty
+# fields and a latin-1 letter, as an upstream may send them.
+RAW_TOKEN_CHARS = "aZ09 .|^~\\&FSRETHX\xe9"
+raw_er7 = st.builds(
+    lambda head, bodies: (head + "".join(f"PID|{b}\r" for b in bodies)).encode("latin-1"),
+    st.sampled_from(["", "MSH|^~\\&|\r", "MSH|^~\\&|APP|\\H\\|\r"]),
+    st.lists(st.text(alphabet=RAW_TOKEN_CHARS, max_size=40), min_size=1, max_size=4),
+)
+er7_bytes = st.one_of(
+    raw_er7,
+    st.randoms(use_true_random=False).map(lambda rng: serialize_message(random_message(rng))),
+)
+
+READ_INDICES = range(1, 16)
+
+
+class TestLazyMatchesEager:
+    """A parsed segment parses each field on first read; these pin every
+    observable result to the eagerly built tree of the same content."""
+
+    @given(er7_bytes)
+    def test_serialization_is_byte_identical(self, raw):
+        lazy = parse_message(raw)
+        out = serialize_message(lazy)
+        assert out == serialize_message(eager_copy(parse_message(raw)))
+        # Rendering under another encoding goes through the tree as well.
+        for seg, built in zip(parse_message(raw).segments, eager_copy(lazy).segments):
+            assert serialize_segment(seg) == serialize_segment(built)
+
+    @given(er7_bytes)
+    def test_reads_agree_before_and_after_fields(self, raw):
+        def reads(msg):
+            return [
+                (seg.field(k), msg.field_value(seg.name, k))
+                for seg in msg.segments
+                for k in READ_INDICES
+            ]
+
+        before = reads(parse_message(raw))
+        msg = parse_message(raw)
+        for seg in msg.segments:
+            seg.fields
+        assert reads(msg) == before
+        assert reads(eager_copy(msg)) == before
+
+    @given(er7_bytes)
+    def test_parsed_equals_and_hashes_like_built(self, raw):
+        parsed = parse_message(raw)
+        built = eager_copy(parse_message(raw))
+        for seg, twin in zip(parsed.segments, built.segments):
+            assert seg == twin
+            assert hash(seg) == hash(twin)
+        assert parse_message(raw) == built
+        assert hash(parse_message(raw)) == hash(built)
+
+    def test_unknown_escape_is_re_escaped_like_the_tree(self):
+        seg = parse_segment(r"PID|a\H\b|c")
+        assert serialize_segment(seg) == r"PID|a\E\H\E\b|c"

@@ -1,9 +1,17 @@
 """Command grammar, alias table, mappings, and session execution."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import PATIENT_CNP, PATIENT_PID, make_language
-from hl7portal.er7 import parse_message, parse_segment
+from hl7portal.er7 import (
+    Hl7Message,
+    Hl7Segment,
+    parse_message,
+    parse_segment,
+    serialize_message,
+)
 from hl7portal.interpreter import (
     ALIASES,
     GETTERS,
@@ -19,6 +27,7 @@ from hl7portal.interpreter import (
     parse_command,
 )
 from hl7portal.lexicon import RegistryHolder, load_registry
+from hl7portal.mllp import UpstreamEndpoint
 from hl7portal.mockserver import MockHl7Server, PatientFixture
 
 
@@ -363,6 +372,106 @@ class TestPatientQueryShape:
         assert query.field_value("QPD", 2) == "Q7"
         assert query.field_value("QPD", 3) == "175"
         assert query.field_value("RCP", 1) == "I"
+
+
+    @given(*[st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF))] * 4)
+    def test_template_bytes_match_the_built_tree(self, cnp, user, password, control_id):
+        query = build_patient_query(cnp, user, password, control_id)
+        tree = Hl7Message(
+            (
+                Hl7Segment.build_msh(
+                    "HL7PORTAL",
+                    "PORTAL",
+                    "",
+                    "",
+                    query.field_value("MSH", 7),
+                    f"{user}:{password}",
+                    ("QBP", "Q22"),
+                    control_id,
+                    "P",
+                    "2.3.1",
+                ),
+                Hl7Segment.build("QPD", ("Q22", "Find Candidates"), control_id, cnp),
+                Hl7Segment.build("RCP", "I", ("1", "RD")),
+            )
+        )
+        assert serialize_message(query) == serialize_message(tree)
+        assert query == tree
+
+
+class StubUpstream:
+    """Stands in for an upstream connection and counts the queries sent."""
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+        self.queries = []
+        self.closed = False
+
+    def next_control_id(self):
+        return "Q1"
+
+    def exchange(self, query):
+        self.queries.append(query)
+        return parse_message(PATIENT_PID)
+
+    def close(self):
+        self.closed = True
+
+
+class TestArgumentHygiene:
+    @pytest.fixture()
+    def stubbed(self, holder, simopac):
+        connects = []
+
+        def connect(endpoint):
+            connects.append(StubUpstream(endpoint))
+            return connects[-1]
+
+        return Interpreter(holder, simopac, connect=connect), connects
+
+    @pytest.mark.parametrize("bad", ["1\rZZZ|x", "1\nZZZ|x", "1\x0b2", "1\x1c\r2"])
+    @pytest.mark.parametrize("name", ["utilizarePacient", "usePatient"])
+    def test_use_patient_rejects_control_characters(self, stubbed, name, bad):
+        interp, connects = stubbed
+        session = Session("s1")
+        assert interp.handle_line(session, "login(h, 1, u, p);").response == "OK"
+        assert interp.handle_line(session, f"{name}({bad}, ro);").response == "NOK"
+        assert "cnp" in session.last_error
+        assert connects[0].queries == []
+        assert session.patient is None
+
+    def test_language_argument_checked_too(self, stubbed):
+        interp, connects = stubbed
+        session = Session("s1")
+        interp.handle_line(session, "login(h, 1, u, p);")
+        assert interp.handle_line(session, "usePatient(1, r\ro);").response == "NOK"
+        assert "argument language" in session.last_error
+        assert connects[0].queries == []
+
+    @pytest.mark.parametrize(
+        "line,argument",
+        [
+            ("conectare(h\rx, 1, u, p);", "host"),
+            ("login(h, 1, u\nMSH, p);", "user"),
+            ("conectare(h, 1, u, p\x0bq);", "password"),
+            ("login(h, 1\x1c2, u, p);", "port"),
+        ],
+    )
+    def test_connect_rejects_control_characters(self, stubbed, line, argument):
+        interp, connects = stubbed
+        session = Session("s1")
+        assert interp.handle_line(session, line).response == "NOK"
+        assert f"argument {argument}" in session.last_error
+        assert connects == []
+        assert session.upstream is None
+
+    def test_clean_arguments_still_query(self, stubbed):
+        interp, connects = stubbed
+        session = Session("s1")
+        interp.handle_line(session, "login(h, 1, u, p);")
+        assert interp.handle_line(session, f"usePatient({PATIENT_CNP}, ro);").response == "OK"
+        assert len(connects[0].queries) == 1
+        assert connects[0].endpoint == UpstreamEndpoint("h", 1, "u", "p", 5000)
 
 
 @pytest.fixture(scope="module")

@@ -165,6 +165,35 @@ class TestUpstreamConnection:
         elapsed = time.monotonic() - start
         assert 0.25 <= elapsed < 1.5
 
+    def test_late_reply_never_answers_the_next_query(self):
+        def handler(conn):
+            d = Deframer()
+            served = 0
+            while served < 2:
+                data = conn.recv(65536)
+                if not data:
+                    return
+                for _payload in d.feed(data):
+                    served += 1
+                    if served == 1:
+                        time.sleep(0.4)  # answer Q1 only after its timeout
+                    try:
+                        conn.sendall(frame(b"MSH|^~\\&|HIS\rMSA|AA|Q%d" % served))
+                    except OSError:
+                        return
+
+        port = _serve_once(handler)
+        conn = connect_upstream(UpstreamEndpoint("127.0.0.1", port, timeout_ms=200))
+        try:
+            with pytest.raises(ExchangeTimeout):
+                conn.exchange(QUERY)
+            assert conn.closed
+            time.sleep(0.4)  # Q1's reply is sent by now
+            with pytest.raises(ConnectionLost):
+                conn.exchange(QUERY)
+        finally:
+            conn.close()
+
     def test_connection_lost_when_peer_closes(self):
         def handler(conn):
             conn.recv(65536)

@@ -1,6 +1,7 @@
 """Fixture parsing and mock upstream behavior."""
 
 import socket
+import time
 
 import pytest
 
@@ -122,6 +123,17 @@ class TestResponses:
         response = parse_message(payloads[0])
         assert response.field_value("MSA", 1) == "AE"
         assert response.field_value("MSA", 2) == "77"
+
+
+    def test_closed_connections_release_their_threads(self, mock):
+        for _ in range(5):
+            raw_query(mock.port, PATIENT_CNP)
+        # A connection drops its thread in the same step as its socket.
+        deadline = time.monotonic() + 5
+        while mock._connections and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not mock._connections
+        assert len(mock._threads) <= 1
 
 
 class TestMisbehavior:

@@ -2,6 +2,7 @@
 
 import re
 import socket
+import sys
 import threading
 import time
 
@@ -221,6 +222,64 @@ class TestSessions:
         assert len(by_direction["RECV"]) == len(by_direction["SEND"]) == 3
         assert ("s1", "nume();") in by_direction["RECV"]
         assert ("s1", "NOK") in by_direction["SEND"]
+
+    def test_framing_byte_in_argument_answers_nok(self, portal, mock):
+        client = Client(portal.port)
+        try:
+            assert client.ask(f"conectare(127.0.0.1, {mock.port}, d, d);") == b"OK"
+            client.send(b"usePatient(1\x0b2, ro);\n")
+            assert client.reader.readline() == b"NOK"
+            assert b"cnp" in client.ask("ultimaEroare();")
+            assert client.ask(f"usePatient({PATIENT_CNP}, ro);") == b"OK"
+            assert client.ask("nume();") == b"C. Marius"
+        finally:
+            client.close()
+
+    def test_finished_sessions_release_their_threads(self, portal):
+        def disconnects():
+            return sum(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+
+        for n in range(1, 6):
+            client = Client(portal.port)
+            assert client.ask("ultimaEroare();") == b"None"
+            # Live: this session's thread and the accept thread.
+            assert len(portal._threads) <= 2
+            client.close()
+            assert wait_for(lambda: disconnects() == n)
+            assert len(portal._threads) <= 1
+
+    def test_concurrent_sessions_release_their_threads(self, portal):
+        workers, rounds = 8, 5
+        errors = []
+
+        def churn():
+            try:
+                for _ in range(rounds):
+                    client = Client(portal.port)
+                    try:
+                        assert client.ask("ultimaEroare();") == b"None"
+                    finally:
+                        client.close()
+            except Exception as e:  # reported below, not lost in the thread
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        total = workers * rounds
+        assert wait_for(
+            lambda: sum(r[1] == "DISCONNECT" for r in read_records(portal.log.path)) == total
+        )
+        assert len(portal._threads) <= 1
 
     def test_eof_teardown_logs_disconnect(self, portal):
         client = Client(portal.port)
