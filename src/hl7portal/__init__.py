@@ -4,98 +4,4 @@ An MLLP client toward HL7 servers, a line-protocol command server toward
 clinic software, and a multilingual interpreter in between.
 """
 
-from .er7 import (
-    DEFAULT_ENCODING,
-    EmptyMessage,
-    EncodingChars,
-    Hl7Message,
-    Hl7Segment,
-    MalformedSegment,
-    parse_message,
-    parse_segment,
-    serialize_message,
-    serialize_segment,
-)
-from .interpreter import (
-    ALIASES,
-    GETTERS,
-    CommandSyntaxError,
-    Interpreter,
-    MappingError,
-    Session,
-    build_patient_query,
-    interpret_segment,
-    load_mapping,
-    mapping_path,
-    packaged_languages_dir,
-    parse_command,
-)
-from .lexicon import (
-    LanguagePack,
-    LanguageRegistry,
-    RegistryHolder,
-    RegistryMissing,
-    load_registry,
-)
-from .mllp import (
-    ConnectFailed,
-    ConnectionLost,
-    Deframer,
-    ExchangeTimeout,
-    FrameTooLarge,
-    UpstreamConnection,
-    UpstreamEndpoint,
-    connect_upstream,
-    frame,
-)
-from .mockserver import MockHl7Server, PatientFixture, load_fixtures, parse_fixtures
-from .server import BindFailed, EventLog, PortalServer, ServerConfig
-
-__all__ = [
-    "DEFAULT_ENCODING",
-    "EmptyMessage",
-    "EncodingChars",
-    "Hl7Message",
-    "Hl7Segment",
-    "MalformedSegment",
-    "parse_message",
-    "parse_segment",
-    "serialize_message",
-    "serialize_segment",
-    "ALIASES",
-    "GETTERS",
-    "CommandSyntaxError",
-    "Interpreter",
-    "MappingError",
-    "Session",
-    "build_patient_query",
-    "interpret_segment",
-    "load_mapping",
-    "mapping_path",
-    "packaged_languages_dir",
-    "parse_command",
-    "LanguagePack",
-    "LanguageRegistry",
-    "RegistryHolder",
-    "RegistryMissing",
-    "load_registry",
-    "ConnectFailed",
-    "ConnectionLost",
-    "Deframer",
-    "ExchangeTimeout",
-    "FrameTooLarge",
-    "UpstreamConnection",
-    "UpstreamEndpoint",
-    "connect_upstream",
-    "frame",
-    "MockHl7Server",
-    "PatientFixture",
-    "load_fixtures",
-    "parse_fixtures",
-    "BindFailed",
-    "EventLog",
-    "PortalServer",
-    "ServerConfig",
-]
-
 __version__ = "0.1.0"

@@ -212,7 +212,6 @@ class Session:
     upstream: UpstreamConnection | None = None
     patient: Hl7Message | None = None
     last_error: str = ""
-    authenticated: bool = False
 
 
 class CommandOutcome(NamedTuple):
@@ -367,7 +366,6 @@ class Interpreter:
         if session.upstream is not None:
             session.upstream.close()
         session.upstream = upstream
-        session.authenticated = True
         return OK
 
     def _use_patient(self, session: Session, request: CommandRequest) -> str:
@@ -408,6 +406,9 @@ class Interpreter:
             OSError,
         ) as e:
             logger.warning("session %s: patient query failed: %s", session.id, e)
+            if session.upstream.closed:
+                # Later lookups answer "not connected", not "no data".
+                session.upstream = None
             session.last_error = pack.not_present
             return NOK
         if response.segment("PID") is None:

@@ -231,7 +231,7 @@ def connect_upstream(endpoint: UpstreamEndpoint) -> UpstreamConnection:
         sock = socket.create_connection(
             (endpoint.host, endpoint.port), timeout=endpoint.timeout_ms / 1000.0
         )
-    except OSError as e:
+    except (OSError, UnicodeError) as e:  # UnicodeError: a host IDNA rejects
         raise ConnectFailed(f"{endpoint.host}:{endpoint.port}: {e}") from e
     sock.settimeout(endpoint.timeout_ms / 1000.0)
     return UpstreamConnection(sock, endpoint)

@@ -2,22 +2,20 @@
 
 Stateless by construction: every response is computed from the query and
 the fixture set alone.  Misbehavior flags exist so timeout and robustness
-paths can be driven end to end.
+paths can be driven end to end.  Connections are accepted and served, one
+thread each, by the ``Listener`` the portal also runs on.
 """
 
 from __future__ import annotations
 
-import logging
 import socket
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .er7 import parse_message, parse_segment, serialize_segment
+from .listener import Listener
 from .mllp import Deframer, FrameTooLarge, frame
-
-logger = logging.getLogger(__name__)
 
 SILENT = "silent"
 GARBAGE = "garbage"
@@ -75,7 +73,7 @@ def load_fixtures(path: str | Path) -> list[PatientFixture]:
     return parse_fixtures(Path(path).read_bytes().decode("latin-1"))
 
 
-class MockHl7Server:
+class MockHl7Server(Listener):
     """Accepts MLLP connections and answers QBP-style patient queries.
 
     With user/password set, queries whose MSH-8 is not "user:password" are
@@ -99,79 +97,9 @@ class MockHl7Server:
         self._user = user
         self._password = password
         self._misbehave = misbehave
-        self._host = host
-        self._requested_port = port
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._connections: set[socket.socket] = set()
-        self._lock = threading.Lock()
-        self._stopping = False
-        self.port: int | None = None
+        super().__init__(host, port)
 
-    def __enter__(self) -> "MockHl7Server":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self._host, self._requested_port))
-        listener.listen(64)
-        # A blocked accept() does not reliably wake when another thread
-        # closes the socket; poll so stop() returns promptly.
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
-
-    def stop(self) -> None:
-        self._stopping = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            connections = list(self._connections)
-        for conn in connections:
-            try:
-                # shutdown (unlike close) wakes a thread blocked in recv.
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
-        with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout=5)
-
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, _peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            # Registered before it runs: a connection drops its own thread.
-            with self._lock:
-                self._connections.add(conn)
-                self._threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def serve_connection(self, conn: socket.socket, peer) -> None:
         deframer = Deframer()
         try:
             while True:
@@ -193,13 +121,7 @@ class MockHl7Server:
                 except OSError:
                     return
         finally:
-            with self._lock:
-                self._connections.discard(conn)
-                self._threads.remove(threading.current_thread())
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self.release(conn)
 
     @staticmethod
     def _garbage() -> bytes:

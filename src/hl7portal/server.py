@@ -1,14 +1,14 @@
 """Multi-client portal front door plus the event log.
 
-One thread per downstream client; sessions share only the immutable
-registry snapshot, the mapping table, and the (internally locked) event
-log, so no client can affect another's state.
+One thread per downstream client, from the ``Listener`` it shares with the
+mock HIS; sessions share only the immutable registry snapshot, the mapping
+table, and the (internally locked) event log, so no client can affect
+another's state.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import socket
 import sys
 import threading
@@ -24,9 +24,8 @@ from .interpreter import (
     packaged_languages_dir,
 )
 from .lexicon import RegistryHolder, load_registry
+from .listener import Listener
 from .mllp import connect_upstream
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_LOG_NAME = "simopacServerInterpretare.log"
 
@@ -35,6 +34,9 @@ RECV = "RECV"
 SEND = "SEND"
 DISCONNECT = "DISCONNECT"
 DIAG = "DIAG"
+
+# Longest command line the session buffers while waiting for its LF.
+MAX_LINE_BYTES = 64 * 1024
 
 
 class BindFailed(Exception):
@@ -103,157 +105,101 @@ class EventLog:
                 self._file = None
 
 
-class PortalServer:
+class PortalServer(Listener):
     """Accepts downstream clients and runs one session loop per client."""
 
     def __init__(self, config: ServerConfig, connect=connect_upstream):
         self.config = config
-        # A missing registry or broken mapping is fatal before listen.
+        # A missing registry or broken mapping is fatal before the socket exists.
         self._holder = RegistryHolder(load_registry(config.languages_dir))
         mapping = load_mapping(mapping_path(config.mapping_selector))
         self._interpreter = Interpreter(
             self._holder, mapping, connect, config.upstream_timeout_ms
         )
         self.log = EventLog(config.log_path)
-        self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
-        self._session_conns: dict[str, socket.socket] = {}
-        self._lock = threading.Lock()
         self._ids = itertools.count(1)
-        self._stopping = False
-        self.port: int | None = None
-
-    def __enter__(self) -> "PortalServer":
-        self.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        super().__init__(config.host, config.listen_port)
 
     def reload_languages(self) -> None:
         self._holder.reload()
         self.log.record("-", DIAG, "language registry reloaded")
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
-            listener.bind((self.config.host, self.config.listen_port))
-            listener.listen(128)
+            super().start()
         except OSError as e:
-            listener.close()
             raise BindFailed(f"cannot listen on port {self.config.listen_port}: {e}") from e
-        listener.settimeout(0.2)  # so stop() can interrupt accept()
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        thread = threading.Thread(target=self._accept_loop, daemon=True)
-        thread.start()
-        self._threads.append(thread)
 
     def stop(self) -> None:
-        self._stopping = True
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            conns = list(self._session_conns.values())
-        for conn in conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        with self._lock:
-            threads = list(self._threads)
-        for thread in threads:
-            thread.join(timeout=5)
+        super().stop()
         self.log.close()
 
-    def _accept_loop(self) -> None:
-        while not self._stopping:
-            try:
-                conn, peer = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            conn.settimeout(None)
-            with self._lock:
-                full = len(self._session_conns) >= self.config.max_clients
-                if not full:
-                    session_id = f"s{next(self._ids)}"
-                    self._session_conns[session_id] = conn
-            if full:
-                self._refuse(conn, peer)
-                continue
-            thread = threading.Thread(
-                target=self._run_session, args=(session_id, conn, peer), daemon=True
-            )
-            # Registered before it runs: a session drops its own thread.
-            with self._lock:
-                self._threads.append(thread)
-            thread.start()
-
-    def _refuse(self, conn: socket.socket, peer) -> None:
+    def verify_request(self, conn: socket.socket, peer) -> bool:
         # Over the client limit: one NOK line, then drop.  No CONNECT or
-        # DISCONNECT records; the refusal is a diagnostic event only.
+        # DISCONNECT records; the refusal is a diagnostic event only.  Only
+        # this thread adds connections, so the count can only fall meanwhile.
+        if len(self._connections) < self.config.max_clients:
+            return True
         self.log.record("-", DIAG, f"client limit reached, refusing {peer[0]}:{peer[1]}")
         try:
             conn.sendall(b"NOK\n")
         except OSError:
             pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        return False
 
-    def _run_session(self, session_id: str, conn: socket.socket, peer) -> None:
+    def serve_connection(self, conn: socket.socket, peer) -> None:
+        session_id = f"s{next(self._ids)}"
         session = Session(session_id)
         self.log.record(session_id, CONNECT, f"{peer[0]}:{peer[1]}")
         reason = "peer closed connection"
         conn.settimeout(self.config.idle_timeout_s)
         buffer = b""
         try:
-            running = True
-            while running:
+            while True:
                 try:
                     chunk = conn.recv(65536)
                 except socket.timeout:
                     reason = "idle timeout"
                     self.log.record(session_id, DIAG, "idle timeout, closing session")
-                    break
+                    return
                 except OSError:
-                    break
+                    return
                 if chunk == b"":
-                    break
+                    return
                 buffer += chunk
                 # Only complete LF-terminated lines are commands; a trailing
-                # CR (Windows clients) is stripped.
-                while running and b"\n" in buffer:
-                    raw, _, buffer = buffer.partition(b"\n")
-                    if raw.endswith(b"\r"):
-                        raw = raw[:-1]
-                    line = raw.decode("latin-1")
-                    self.log.record(session_id, RECV, line)
-                    outcome = self._interpreter.handle_line(session, line)
+                # CR (Windows clients) is stripped.  What precedes the new
+                # chunk holds no LF, so only the chunk is searched.
+                if b"\n" in chunk:
+                    *lines, buffer = buffer.split(b"\n")
+                    for raw in lines:
+                        if raw.endswith(b"\r"):
+                            raw = raw[:-1]
+                        line = raw.decode("latin-1")
+                        self.log.record(session_id, RECV, line)
+                        outcome = self._interpreter.handle_line(session, line)
+                        try:
+                            conn.sendall(outcome.response.encode("latin-1") + b"\n")
+                        except OSError:
+                            return
+                        self.log.record(session_id, SEND, outcome.response)
+                        if outcome.end_session:
+                            reason = "client disconnect command"
+                            return
+                if len(buffer) > MAX_LINE_BYTES:
+                    reason = "line too long"
+                    self.log.record(
+                        session_id, DIAG, f"no LF within {MAX_LINE_BYTES} bytes, answering NOK"
+                    )
                     try:
-                        conn.sendall(outcome.response.encode("latin-1") + b"\n")
+                        conn.sendall(b"NOK\n")
                     except OSError:
-                        running = False
-                        break
-                    self.log.record(session_id, SEND, outcome.response)
-                    if outcome.end_session:
-                        reason = "client disconnect command"
-                        running = False
+                        pass
+                    return
         finally:
             if session.upstream is not None:
                 session.upstream.close()
-            with self._lock:
-                self._session_conns.pop(session_id, None)
-                self._threads.remove(threading.current_thread())
-            try:
-                conn.close()
-            except OSError:
-                pass
+            # Released before DISCONNECT is logged, so a reader of that
+            # record never sees the session still counted.
+            self.release(conn)
             self.log.record(session_id, DISCONNECT, reason)

@@ -159,7 +159,6 @@ class TestConnect:
         session = Session("s1")
         assert connect(interp, session, mock) == "OK"
         assert session.upstream is not None
-        assert session.authenticated
 
     def test_closed_port_is_nok(self, interp):
         session = Session("s1")
@@ -350,6 +349,19 @@ class TestFailurePaths:
         assert response == "NOK"
         assert session.last_error == "Nu exista date."
         assert elapsed < 1.3  # timeout + 1s per the failure contract
+
+    def test_dead_upstream_answers_not_connected(self, holder, simopac):
+        interp = Interpreter(holder, simopac, upstream_timeout_ms=300)
+        with MockHl7Server(misbehave="silent") as mock:
+            session = Session("s1")
+            assert connect(interp, session, mock) == "OK"
+            use = f"usePatient({PATIENT_CNP}, ro);"
+            assert interp.handle_line(session, use).response == "NOK"
+            assert interp.handle_line(session, use).response == "NOK"
+        assert (
+            interp.handle_line(session, "ultimaEroare();").response
+            == "Not connected to an HL7 server"
+        )
 
     def test_garbage_upstream_is_nok_not_crash(self, holder, simopac):
         interp = Interpreter(holder, simopac, upstream_timeout_ms=1000)

@@ -136,6 +136,21 @@ class TestResponses:
         assert len(mock._threads) <= 1
 
 
+class TestStop:
+    def test_stop_with_a_connection_open(self):
+        mock = MockHl7Server()
+        mock.start()
+        with socket.create_connection(("127.0.0.1", mock.port), timeout=5) as sock:
+            deadline = time.monotonic() + 5
+            while not mock._connections and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert mock._connections
+            start = time.monotonic()
+            mock.stop()
+            assert time.monotonic() - start < 1.0
+            assert sock.recv(1) == b""
+
+
 class TestMisbehavior:
     def test_silent_mode_forces_timeout(self):
         with MockHl7Server(misbehave="silent") as mock:

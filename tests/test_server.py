@@ -292,6 +292,32 @@ class TestSessions:
             )
         )
 
+    @pytest.mark.parametrize("host", ["a..b", "x" * 64], ids=["empty-label", "long-label"])
+    def test_host_that_idna_rejects_answers_nok(self, portal, host):
+        client = Client(portal.port)
+        try:
+            assert client.ask(f"conectare({host}, 2575, u, p);") == b"NOK"
+            assert client.ask("ultimaEroare();").startswith(b"Connection failed")
+        finally:
+            client.close()
+
+    def test_line_without_lf_is_capped(self, portal):
+        client = Client(portal.port)
+        try:
+            # A line of exactly 64 KiB is still a command.
+            client.send(b"x" * (64 * 1024) + b"\n")
+            assert client.reader.readline() == b"NOK"
+            client.send(b"x" * (64 * 1024 + 1))
+            assert client.reader.readline() == b"NOK"
+            assert client.reader.readline() is None
+        finally:
+            client.close()
+        assert wait_for(
+            lambda: any(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+        )
+        records = read_records(portal.log.path)
+        assert sum(r[1] == "DIAG" and "no LF" in r[2] for r in records) == 1
+
     def test_client_limit_refused_with_nok(self, tmp_path):
         config = ServerConfig(
             listen_port=0,
@@ -358,6 +384,33 @@ class TestSessions:
             )
             records = read_records(portal.log.path)
             assert any(r[1] == "DIAG" and "idle" in r[2] for r in records)
+
+
+class TestStop:
+    def test_stop_with_an_idle_session_open(self, tmp_path):
+        config = ServerConfig(
+            listen_port=0, host="127.0.0.1", log_path=tmp_path / "events.log"
+        )
+        portal = PortalServer(config)
+        portal.start()
+        client = Client(portal.port)
+        try:
+            assert client.ask("ultimaEroare();") == b"None"
+            start = time.monotonic()
+            portal.stop()
+            assert time.monotonic() - start < 1.0
+            assert client.reader.readline() is None
+        finally:
+            client.close()
+        records = [r for r in read_records(portal.log.path) if r[0] == "s1"]
+        assert records[-1][1] == "DISCONNECT"
+
+    def test_stop_without_start_returns(self, tmp_path):
+        portal = PortalServer(ServerConfig(listen_port=0, log_path=tmp_path / "l"))
+        stopper = threading.Thread(target=portal.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
 
 
 class TestStartupFailures:
