@@ -1,12 +1,13 @@
 """HL7 v2 message model and ER7 ("pipe and hat") codec.
 
-A message is an immutable list of segments.  A segment read from ER7 keeps
-its raw field tokens (one split on the field separator) and turns a field
-into repetitions -> components -> subcomponent strings, unescaped, only when
-that field is first read; the result is cached.  Serializing a parsed
-segment emits its raw tokens wherever that gives the same bytes as the
-tree.  Fields are addressed from 1, HL7 style; index 0 is the segment name
-and is not addressable.
+A message is an immutable list of segments.  A segment is its name plus the
+raw ER7 token of each field (one split on the field separator), in the
+encoding it was read or written in.  A field is turned into repetitions ->
+components -> subcomponent strings, unescaped, only when it is first read;
+the result is cached.  Serializing a segment emits its tokens verbatim, so
+escape sequences the decoder does not know (``\\H\\``, ``\\X0A\\``) pass
+through unchanged.  Fields are addressed from 1, HL7 style; index 0 is the
+segment name and is not addressable.
 
 Bytes on the wire are ASCII-compatible; anything outside ASCII is carried
 opaquely by decoding/encoding as latin-1, so byte values survive a parse /
@@ -71,16 +72,6 @@ class EncodingChars:
         if len(set(seps)) != 5:
             raise ValueError(f"separators are not distinct: {seps!r}")
 
-    @property
-    def msh_2(self) -> str:
-        """The four characters carried in MSH field 2."""
-        return (
-            self.component_sep
-            + self.repetition_sep
-            + self.escape_char
-            + self.subcomponent_sep
-        )
-
 
 DEFAULT_ENCODING = EncodingChars()
 
@@ -135,83 +126,29 @@ def encode_escapes(text: str, enc: EncodingChars = DEFAULT_ENCODING) -> str:
     return text
 
 
-def _field_from_value(value) -> Field:
-    """Build a Field from a plain string, or from a sequence of components
-    where each component is a string or a sequence of subcomponent strings."""
-    if value is None:
-        return ((("",),),)
-    if isinstance(value, str):
-        return (((value,),),)
-    components: list[Component] = []
-    for comp in value:
-        if isinstance(comp, str):
-            components.append((comp,))
-        else:
-            components.append(tuple(comp))
-    return (tuple(components),)
-
-
 class Hl7Segment:
-    """One named segment; ``fields[k - 1]`` is HL7 field k.
+    """One named segment over raw ER7 field tokens: ``tokens[k - 1]`` is the
+    escaped text of HL7 field k, in encoding ``enc``.  For MSH, tokens 0 and
+    1 are the field separator and the encoding characters.
 
-    A built segment holds its fields.  A parsed one holds the raw ER7 token
-    of each field and parses a field on its first read.  Either way the
-    segment is equal to, and hashes like, any segment with the same name and
-    fields.
+    Tokens are taken as given: none may hold the field separator or a line
+    break.  A segment is equal to, and hashes like, any segment with the
+    same name and parsed fields.
     """
 
-    __slots__ = ("name", "_fields", "_tokens", "_enc")
+    __slots__ = ("name", "_tokens", "_fields", "_enc")
 
-    def __init__(self, name: str, fields: tuple[Field, ...] = ()):
+    def __init__(self, name: str, tokens=(), enc: EncodingChars = DEFAULT_ENCODING):
         if len(name) != 3:
             raise ValueError(f"segment name must be 3 characters: {name!r}")
         self.name = name
-        self._fields: tuple[Field, ...] | list[Field | None] = tuple(fields)
-        self._tokens: tuple[str, ...] | None = None
-        self._enc: EncodingChars | None = None
-
-    @classmethod
-    def from_tokens(
-        cls, name: str, tokens, enc: EncodingChars = DEFAULT_ENCODING
-    ) -> "Hl7Segment":
-        """A segment over raw ER7 field tokens: ``tokens[k - 1]`` is the
-        escaped text of field k.  For MSH, tokens 0 and 1 are the field
-        separator and the encoding characters.
-
-        Tokens are taken as given: none may hold the field separator or a
-        line break.
-        """
-        seg = cls(name)
-        seg._tokens = tuple(tokens)
-        seg._fields = [None] * len(seg._tokens)
-        seg._enc = enc
-        return seg
-
-    @classmethod
-    def build(cls, name: str, *values) -> "Hl7Segment":
-        """Construct a segment from plain values.
-
-        Each value is a string (single component), a sequence of components,
-        or None for an empty field.  Separator characters inside the strings
-        are data and get escaped on serialization.
-        """
-        return cls(name, tuple(_field_from_value(v) for v in values))
-
-    @classmethod
-    def build_msh(cls, *values, enc: EncodingChars = DEFAULT_ENCODING) -> "Hl7Segment":
-        """Construct an MSH segment: the two structural fields come from
-        ``enc`` and ``values`` start at MSH field 3."""
-        fields = [(((enc.field_sep,),),), (((enc.msh_2,),),)]
-        fields.extend(_field_from_value(v) for v in values)
-        return cls("MSH", tuple(fields))
+        self._tokens: tuple[str, ...] = tuple(tokens)
+        self._fields: list[Field | None] = [None] * len(self._tokens)
+        self._enc = enc
 
     @property
     def fields(self) -> tuple[Field, ...]:
-        fields = self._fields
-        if not isinstance(fields, tuple):
-            fields = tuple(self.field(k) for k in range(1, len(fields) + 1))
-            self._fields = fields
-        return fields
+        return tuple(self.field(k) for k in range(1, len(self._tokens) + 1))
 
     def field(self, index: int) -> Field | None:
         """Field at 1-based ``index``, or None beyond the last field."""
@@ -231,12 +168,16 @@ class Hl7Segment:
             fields[index - 1] = f
         return f
 
-    def field_text(self, index: int, enc: EncodingChars = DEFAULT_ENCODING) -> str | None:
+    def field_text(self, index: int) -> str | None:
         """Full display text of a field (all repetitions), or None if absent."""
         f = self.field(index)
         if f is None:
             return None
-        return _join_field(f, enc)
+        enc = self._enc
+        return enc.repetition_sep.join(
+            enc.component_sep.join(enc.subcomponent_sep.join(comp) for comp in rep)
+            for rep in f
+        )
 
     def __eq__(self, other):
         if not isinstance(other, Hl7Segment):
@@ -247,18 +188,7 @@ class Hl7Segment:
         return hash((self.name, self.fields))
 
     def __repr__(self):
-        return f"Hl7Segment(name={self.name!r}, fields={self.fields!r})"
-
-
-def _join_field(f: Field, enc: EncodingChars) -> str:
-    return enc.repetition_sep.join(
-        enc.component_sep.join(enc.subcomponent_sep.join(comp) for comp in rep)
-        for rep in f
-    )
-
-
-def _field_is_empty(f: Field, enc: EncodingChars) -> bool:
-    return _join_field(f, enc) == ""
+        return f"Hl7Segment({self.name!r}, {self._tokens!r})"
 
 
 @dataclass(frozen=True)
@@ -298,21 +228,6 @@ class Hl7Message:
         )
         return text if text != "" else None
 
-    def normalized(self) -> "Hl7Message":
-        """Copy with trailing empty fields dropped from every segment.
-
-        Serialization drops trailing empties, so round-trip comparisons go
-        through this form.  MSH keeps its two structural fields.
-        """
-        segs = []
-        for seg in self.segments:
-            fields = list(seg.fields)
-            floor = 2 if seg.name == "MSH" else 0
-            while len(fields) > floor and _field_is_empty(fields[-1], self.encoding):
-                fields.pop()
-            segs.append(Hl7Segment(seg.name, tuple(fields)))
-        return Hl7Message(tuple(segs), self.encoding)
-
 
 def _parse_field(token: str, enc: EncodingChars) -> Field:
     return tuple(
@@ -341,7 +256,7 @@ def parse_segment(raw: str, enc: EncodingChars = DEFAULT_ENCODING) -> Hl7Segment
     if name[0] not in _NAME_FIRST or name[1] not in _NAME_REST or name[2] not in _NAME_REST:
         raise MalformedSegment(f"invalid segment name: {name!r}")
     if len(raw) == 3:
-        return Hl7Segment(name)
+        return Hl7Segment(name, (), enc)
     if raw[3] != enc.field_sep:
         raise MalformedSegment(
             f"segment name not followed by field separator: {raw[:4]!r}"
@@ -351,7 +266,7 @@ def parse_segment(raw: str, enc: EncodingChars = DEFAULT_ENCODING) -> Hl7Segment
         tokens[0] = enc.field_sep
     else:
         tokens = raw[4:].split(enc.field_sep)
-    return Hl7Segment.from_tokens(name, tokens, enc)
+    return Hl7Segment(name, tokens, enc)
 
 
 def _encoding_from_msh(line: str) -> EncodingChars:
@@ -395,58 +310,28 @@ def parse_message(raw: bytes | bytearray | str) -> Hl7Message:
     return Hl7Message(tuple(segments), enc)
 
 
-def serialize_segment(seg: Hl7Segment, enc: EncodingChars = DEFAULT_ENCODING) -> str:
+def serialize_segment(seg: Hl7Segment) -> str:
     """Render one segment as an ER7 line (no terminator).
 
-    Trailing empty fields are dropped and separator characters inside
-    values are escaped.
+    The tokens go out verbatim, joined by the segment's own field
+    separator, with trailing empty fields dropped.  MSH field 1 is the
+    separator itself: never dropped, never emitted.
     """
     is_msh = seg.name == "MSH"
-    tokens = seg._tokens
-    if tokens is not None and (seg._enc is enc or seg._enc == enc):
-        # A token without the escape character serializes back to itself,
-        # so only tokens holding one go through the tree.
-        esc = enc.escape_char
-        texts = list(tokens)
-        for k in range(2 if is_msh else 0, len(texts)):
-            if esc in texts[k]:
-                texts[k] = _serialize_field(seg.field(k + 1), enc)
-    else:
-        texts = [_serialize_field(f, enc) for f in seg.fields]
-        if is_msh and len(texts) >= 2:
-            # Field 2 goes out verbatim.
-            texts[1] = _raw_field_text(seg.fields[1])
-    # MSH field 1 is the separator itself: never dropped, never emitted.
+    texts = list(seg._tokens)
     floor = min(len(texts), 2) if is_msh else 0
     while len(texts) > floor and texts[-1] == "":
         texts.pop()
     if not texts:
         return seg.name
-    if is_msh:
-        return seg.name + enc.field_sep + enc.field_sep.join(texts[1:])
-    return seg.name + enc.field_sep + enc.field_sep.join(texts)
-
-
-def _serialize_field(f: Field, enc: EncodingChars) -> str:
-    return enc.repetition_sep.join(
-        enc.component_sep.join(
-            enc.subcomponent_sep.join(encode_escapes(sub, enc) for sub in comp)
-            for comp in rep
-        )
-        for rep in f
-    )
-
-
-def _raw_field_text(f: Field) -> str:
-    if not f or not f[0] or not f[0][0]:
-        return ""
-    return f[0][0][0]
+    sep = seg._enc.field_sep
+    return seg.name + sep + sep.join(texts[1:] if is_msh else texts)
 
 
 def serialize_message(m: Hl7Message) -> bytes:
     """Emit CR-terminated segment lines; inverse of parse_message up to
     trailing-empty normalization."""
     text = "".join(
-        serialize_segment(seg, m.encoding) + SEGMENT_TERMINATOR for seg in m.segments
+        serialize_segment(seg) + SEGMENT_TERMINATOR for seg in m.segments
     )
     return text.encode("latin-1")

@@ -15,9 +15,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .er7 import (
-    DEFAULT_ENCODING,
     EmptyMessage,
-    EncodingChars,
     Hl7Message,
     Hl7Segment,
     MalformedSegment,
@@ -128,6 +126,21 @@ ALIASES = {
 }
 
 
+# Commands whose fourth argument is the upstream password.
+_LOGIN_NAMES = tuple(name for name, canonical in ALIASES.items() if canonical == CONNECT)
+
+
+def redact_password(line: str) -> str:
+    """``line`` with a login's text after its third comma, where the
+    password starts, replaced by ``***``; any other line as it is.  Leading
+    whitespace does not hide a login, since ``parse_command`` strips it."""
+    if line.lstrip().startswith(_LOGIN_NAMES):
+        parts = line.split(",", 3)
+        if len(parts) == 4:
+            return ",".join(parts[:3]) + ",***"
+    return line
+
+
 class CommandSyntaxError(ValueError):
     """The line does not match `name '(' args ')' [';']`."""
 
@@ -146,7 +159,7 @@ def parse_command(line: str) -> CommandRequest:
     """Parse `name(arg, ...)[;]`; args are trimmed, names case-sensitive."""
     match = _COMMAND.match(line.strip())
     if not match:
-        raise CommandSyntaxError(f"Cannot parse command: {line.strip()!r}")
+        raise CommandSyntaxError(f"Cannot parse command: {redact_password(line.strip())!r}")
     args_text = match.group("args")
     args = [] if args_text.strip() == "" else [a.strip() for a in args_text.split(",")]
     return CommandRequest(match.group("name"), args)
@@ -242,7 +255,7 @@ def build_patient_query(
     MLLP framing byte (see ``Interpreter``).
     """
     control = encode_escapes(control_id)
-    msh = Hl7Segment.from_tokens(
+    msh = Hl7Segment(
         "MSH",
         (
             "|",
@@ -259,10 +272,8 @@ def build_patient_query(
             "2.3.1",
         ),
     )
-    qpd = Hl7Segment.from_tokens(
-        "QPD", ("Q22^Find Candidates", control, encode_escapes(cnp))
-    )
-    rcp = Hl7Segment.from_tokens("RCP", ("I", "1^RD"))
+    qpd = Hl7Segment("QPD", ("Q22^Find Candidates", control, encode_escapes(cnp)))
+    rcp = Hl7Segment("RCP", ("I", "1^RD"))
     return Hl7Message((msh, qpd, rcp))
 
 
@@ -430,9 +441,7 @@ class Interpreter:
         return value
 
 
-def interpret_segment(
-    seg: Hl7Segment, pack: LanguagePack, enc: EncodingChars = DEFAULT_ENCODING
-) -> list[str]:
+def interpret_segment(seg: Hl7Segment, pack: LanguagePack) -> list[str]:
     """Render a segment as "Label: value" lines in the pack's language.
 
     No lexicon file for the segment: one line, the files-not-found string.
@@ -445,21 +454,21 @@ def interpret_segment(
         return [pack.files_not_found]
     lines = []
     for index in sorted(lexicon):
-        text = seg.field_text(index, enc)
+        text = seg.field_text(index)
         if text is None:
             value = pack.not_present
         elif text == "":
             value = pack.none
         elif seg.name == "MSH" and index == 9:
-            value = _describe_message_type(seg, pack, enc)
+            value = _describe_message_type(seg, pack)
         else:
             value = text
         lines.append(f"{lexicon[index]}: {value}")
     return lines
 
 
-def _describe_message_type(seg: Hl7Segment, pack: LanguagePack, enc: EncodingChars) -> str:
-    text = seg.field_text(9, enc) or ""
+def _describe_message_type(seg: Hl7Segment, pack: LanguagePack) -> str:
+    text = seg.field_text(9) or ""
     components = [comp[0] for comp in seg.field(9)[0] if comp]
     descriptions = []
     if len(components) >= 1:

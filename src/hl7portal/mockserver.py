@@ -147,7 +147,7 @@ class MockHl7Server(Listener):
             cnp = query.field_value("QPD", 3)
             qpd = query.segment("QPD")
             if qpd is not None:
-                qpd_echo = serialize_segment(qpd, query.encoding)
+                qpd_echo = serialize_segment(qpd)
         credentials_ok = True
         if not parse_failed and self._user is not None:
             credentials_ok = (

@@ -22,6 +22,7 @@ from .interpreter import (
     load_mapping,
     mapping_path,
     packaged_languages_dir,
+    redact_password,
 )
 from .lexicon import RegistryHolder, load_registry
 from .listener import Listener
@@ -176,7 +177,7 @@ class PortalServer(Listener):
                         if raw.endswith(b"\r"):
                             raw = raw[:-1]
                         line = raw.decode("latin-1")
-                        self.log.record(session_id, RECV, line)
+                        self.log.record(session_id, RECV, redact_password(line))
                         outcome = self._interpreter.handle_line(session, line)
                         try:
                             conn.sendall(outcome.response.encode("latin-1") + b"\n")

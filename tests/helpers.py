@@ -4,7 +4,7 @@ import random
 import string
 from pathlib import Path
 
-from hl7portal.er7 import EncodingChars, Hl7Message, Hl7Segment
+from hl7portal.er7 import EncodingChars, Hl7Message, Hl7Segment, encode_escapes
 
 # Demo patient record used throughout the suite, CNP 1750916334996.  Field
 # layout follows the simopac-style upstream: name at 4, mother's maiden
@@ -79,19 +79,65 @@ def make_language(
         index.write_bytes(existing + line)
 
 
-def random_message(rng: random.Random) -> Hl7Message:
-    """A structurally valid random message; parse/serialize safe."""
+def field_token(tree, enc: EncodingChars) -> str:
+    """Reference ER7 token of a field tree: each subcomponent escaped, then
+    joined by the subcomponent, component and repetition separators."""
+    return enc.repetition_sep.join(
+        enc.component_sep.join(
+            enc.subcomponent_sep.join(encode_escapes(sub, enc) for sub in comp)
+            for comp in rep
+        )
+        for rep in tree
+    )
+
+
+def random_trees(rng: random.Random):
+    """A random encoding and segments as (name, field trees).  An MSH head's
+    first two trees hold its separator and encoding characters verbatim."""
     enc = random_encoding(rng)
     segments = []
     if rng.random() < 0.7:
-        fields = [(((enc.field_sep,),),), (((enc.msh_2,),),)]
-        fields.extend(random_field(rng) for _ in range(rng.randint(0, 6)))
-        segments.append(Hl7Segment("MSH", tuple(fields)))
+        msh_2 = enc.component_sep + enc.repetition_sep + enc.escape_char + enc.subcomponent_sep
+        trees = [(((enc.field_sep,),),), (((msh_2,),),)]
+        trees.extend(random_field(rng) for _ in range(rng.randint(0, 6)))
+        segments.append(("MSH", trees))
     else:
         # Without an MSH head the parser assumes the default separators.
         enc = EncodingChars()
     for _ in range(rng.randint(1, 4)):
         name = rng.choice(BODY_NAMES)
-        fields = tuple(random_field(rng) for _ in range(rng.randint(1, 8)))
-        segments.append(Hl7Segment(name, fields))
-    return Hl7Message(tuple(segments), enc)
+        segments.append((name, [random_field(rng) for _ in range(rng.randint(1, 8))]))
+    return enc, segments
+
+
+def message_from_trees(enc: EncodingChars, segments) -> Hl7Message:
+    """Token segments built from ``random_trees`` output."""
+    return Hl7Message(
+        tuple(
+            Hl7Segment(
+                name,
+                [tree[0][0][0] if name == "MSH" and k < 2 else field_token(tree, enc)
+                 for k, tree in enumerate(trees)],
+                enc,
+            )
+            for name, trees in segments
+        ),
+        enc,
+    )
+
+
+def random_message(rng: random.Random) -> Hl7Message:
+    """A structurally valid random message; parse/serialize safe."""
+    return message_from_trees(*random_trees(rng))
+
+
+def trimmed(segments):
+    """(name, fields) of each segment as a parse of its serialization reads
+    them: trailing empty fields dropped."""
+    out = []
+    for name, trees in segments:
+        trees = list(trees)
+        while trees and trees[-1] == ((("",),),):
+            trees.pop()
+        out.append((name, tuple(trees)))
+    return out

@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from helpers import PATIENT_CNP, PATIENT_PID, make_language
 from hl7portal.er7 import (
-    Hl7Message,
-    Hl7Segment,
     parse_message,
     parse_segment,
     serialize_message,
@@ -387,28 +385,15 @@ class TestPatientQueryShape:
 
 
     @given(*[st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF))] * 4)
-    def test_template_bytes_match_the_built_tree(self, cnp, user, password, control_id):
-        query = build_patient_query(cnp, user, password, control_id)
-        tree = Hl7Message(
-            (
-                Hl7Segment.build_msh(
-                    "HL7PORTAL",
-                    "PORTAL",
-                    "",
-                    "",
-                    query.field_value("MSH", 7),
-                    f"{user}:{password}",
-                    ("QBP", "Q22"),
-                    control_id,
-                    "P",
-                    "2.3.1",
-                ),
-                Hl7Segment.build("QPD", ("Q22", "Find Candidates"), control_id, cnp),
-                Hl7Segment.build("RCP", "I", ("1", "RD")),
-            )
-        )
-        assert serialize_message(query) == serialize_message(tree)
-        assert query == tree
+    def test_template_values_come_back(self, cnp, user, password, control_id):
+        raw = serialize_message(build_patient_query(cnp, user, password, control_id))
+        assert raw.count(b"\r") == 3
+        back = parse_message(raw)
+        assert [seg.name for seg in back.segments] == ["MSH", "QPD", "RCP"]
+        assert (back.field_value("MSH", 8) or "") == f"{user}:{password}"
+        assert (back.field_value("MSH", 10) or "") == control_id
+        assert (back.field_value("QPD", 2) or "") == control_id
+        assert (back.field_value("QPD", 3) or "") == cnp
 
 
 class StubUpstream:

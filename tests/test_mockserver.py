@@ -64,9 +64,13 @@ def mock():
 
 def raw_query(port: int, cnp: str, user="u", password="p") -> bytes:
     """Send one framed query over a raw socket, return the response payload."""
-    query = build_patient_query(cnp, user, password, "Q1")
+    return raw_exchange(port, serialize_message(build_patient_query(cnp, user, password, "Q1")))
+
+
+def raw_exchange(port: int, payload: bytes) -> bytes:
+    """Send one framed payload over a raw socket, return the response payload."""
     with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
-        sock.sendall(frame(serialize_message(query)))
+        sock.sendall(frame(payload))
         deframer = Deframer()
         while True:
             payloads = deframer.feed(sock.recv(65536))
@@ -87,6 +91,14 @@ class TestResponses:
     def test_qpd_is_echoed(self, mock):
         response = parse_message(raw_query(mock.port, PATIENT_CNP))
         assert response.field_value("QPD", 3) == PATIENT_CNP
+
+    @pytest.mark.parametrize("cnp", [b"1\\X0A\\2", b"\\H\\x"])
+    def test_qpd_is_echoed_byte_for_byte(self, mock, cnp):
+        # Escapes the decoder does not know (HL7 v2.5.1 section 2.7) stay
+        # as they were sent.
+        qpd = b"QPD|Q22^Find Candidates|Q1|" + cnp
+        payload = raw_exchange(mock.port, b"MSH|^~\\&|A|B|||1||QBP^Q22|Q1|P|2.3.1\r" + qpd + b"\r")
+        assert payload.split(b"\r")[3] == qpd
 
     def test_miss_has_no_pid(self, mock):
         response = parse_message(raw_query(mock.port, "0000"))

@@ -223,6 +223,29 @@ class TestSessions:
         assert ("s1", "nume();") in by_direction["RECV"]
         assert ("s1", "NOK") in by_direction["SEND"]
 
+    @pytest.mark.parametrize(
+        "line, answer",
+        [
+            ("conectare(127.0.0.1, {port}, d, SECRET);", b"OK"),
+            ("login(127.0.0.1, {port}, d, SECRET, extra);", b"NOK"),
+            ("  conectare(127.0.0.1, {port}, d, SECRET", b"NOK"),
+        ],
+    )
+    def test_password_never_reaches_the_log(self, portal, mock, line, answer):
+        client = Client(portal.port)
+        try:
+            assert client.ask(line.format(port=mock.port)) == answer
+            client.ask("ultimaEroare();")
+            assert client.ask("deconectare();") == b"OK"
+        finally:
+            client.close()
+        assert wait_for(
+            lambda: any(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+        )
+        log = portal.log.path.read_text("utf-8")
+        assert "SECRET" not in log
+        assert f"{mock.port}, d,***" in log
+
     def test_framing_byte_in_argument_answers_nok(self, portal, mock):
         client = Client(portal.port)
         try:
