@@ -4,29 +4,16 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import signal
 import sys
 import time
 from pathlib import Path
 
 from .client import EXIT_CONNECT, read_script, run_client
-from .interpreter import MappingError, packaged_languages_dir
+from .interpreter import MappingError
 from .lexicon import RegistryMissing
 from .mockserver import GARBAGE, SILENT, MockHl7Server, load_fixtures
-from .server import DEFAULT_LOG_NAME, BindFailed, PortalServer, ServerConfig
-
-ENV_PREFIX = "HL7PORTAL_"
-
-
-def _env(name: str, fallback):
-    """Flag default: HL7PORTAL_<NAME> when set, else the built-in."""
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    value = os.environ.get(ENV_PREFIX + name)
-    return int(value) if value is not None else fallback
+from .server import BindFailed, PortalServer, ServerConfig
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,30 +23,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Every portal default is ServerConfig's; flags are the only settings.
+    defaults = ServerConfig()
     serve = sub.add_parser("serve", help="run the portal server")
-    serve.add_argument("--port", type=int, default=_env_int("PORT", 7575))
-    serve.add_argument("--host", default=_env("HOST", "0.0.0.0"))
+    serve.add_argument("--port", type=int, default=defaults.listen_port)
+    serve.add_argument("--host", default=defaults.host)
     serve.add_argument(
         "--languages-dir",
-        default=_env("LANGUAGES_DIR", None),
+        type=Path,
+        default=defaults.languages_dir,
         help="language pack directory (default: the packaged ro/en packs)",
     )
     serve.add_argument(
         "--mapping",
-        default=_env("MAPPING", "simopac"),
+        default=defaults.mapping_selector,
         help='"standard", "simopac", or a mapping file path',
     )
-    serve.add_argument("--log-file", default=_env("LOG_FILE", DEFAULT_LOG_NAME))
-    serve.add_argument("--max-clients", type=int, default=_env_int("MAX_CLIENTS", 100))
+    serve.add_argument("--log-file", default=str(defaults.log_path))
+    serve.add_argument("--max-clients", type=int, default=defaults.max_clients)
     serve.add_argument(
-        "--upstream-timeout-ms",
-        type=int,
-        default=_env_int("UPSTREAM_TIMEOUT_MS", 5000),
+        "--upstream-timeout-ms", type=int, default=defaults.upstream_timeout_ms
     )
 
     mock = sub.add_parser("mock", help="run a fixture-backed mock HL7 server")
     mock.add_argument("--port", type=int, default=2575)
-    mock.add_argument("--host", default="0.0.0.0")
+    mock.add_argument("--host", default=defaults.host)
     mock.add_argument("--fixtures", help="fixture file: cnp=<id> line, then a PID line")
     mock.add_argument("--user")
     mock.add_argument("--password")
@@ -67,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     client = sub.add_parser("client", help="send protocol commands to a portal")
     client.add_argument("--host", default="127.0.0.1")
-    client.add_argument("--port", type=int, default=_env_int("PORT", 7575))
+    client.add_argument("--port", type=int, default=defaults.listen_port)
     client.add_argument("--script", help="file with one command per line")
     client.add_argument(
         "-c",
@@ -93,13 +81,10 @@ def _wait_forever() -> None:
 
 
 def _serve(args) -> int:
-    languages_dir = (
-        Path(args.languages_dir) if args.languages_dir else packaged_languages_dir()
-    )
     config = ServerConfig(
         listen_port=args.port,
         host=args.host,
-        languages_dir=languages_dir,
+        languages_dir=args.languages_dir,
         mapping_selector=args.mapping,
         log_path=Path(args.log_file),
         max_clients=args.max_clients,

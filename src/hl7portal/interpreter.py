@@ -23,6 +23,7 @@ from .er7 import (
 )
 from .lexicon import LanguagePack, RegistryHolder
 from .mllp import (
+    DEFAULT_TIMEOUT_MS,
     ConnectFailed,
     ConnectionLost,
     ExchangeTimeout,
@@ -37,38 +38,14 @@ logger = logging.getLogger(__name__)
 OK = "OK"
 NOK = "NOK"
 
-# Canonical command ids.  The getters map 1:1 onto mapping-file entries.
+# Canonical session-command ids; the getter ids appear only in ALIASES and
+# map 1:1 onto mapping-file entries.
 CONNECT = "CONNECT"
 USE_PATIENT = "USE_PATIENT"
 LAST_ERROR = "LAST_ERROR"
 DISCONNECT = "DISCONNECT"
 
-GETTERS = (
-    "EXTERNAL_ID",
-    "INTERNAL_ID",
-    "ALTERNATE_ID",
-    "NAME",
-    "MOTHER_MAIDEN_NAME",
-    "DATE_OF_BIRTH",
-    "SEX",
-    "RACE",
-    "ADDRESS",
-    "COUNTRY_CODE",
-    "HOME_PHONE",
-    "BUSINESS_PHONE",
-    "PRIMARY_LANGUAGE",
-    "MARITAL_STATUS",
-    "RELIGION",
-    "ACCOUNT_NUMBER",
-    "CNP",
-    "DRIVERS_LICENSE",
-    "ETHNIC_GROUP",
-    "BIRTH_PLACE",
-    "CITIZENSHIP",
-    "NATIONALITY",
-)
-
-# Romanian/English alias pairs; both spellings are first-class.
+# The command table: Romanian/English alias pairs, both first-class.
 ALIASES = {
     "conectare": CONNECT,
     "login": CONNECT,
@@ -124,6 +101,16 @@ ALIASES = {
     "deconectare": DISCONNECT,
     "logout": DISCONNECT,
 }
+
+# Data getters, in table order: every canonical id that is not a session
+# command.
+GETTERS = tuple(
+    dict.fromkeys(
+        canonical
+        for canonical in ALIASES.values()
+        if canonical not in (CONNECT, USE_PATIENT, LAST_ERROR, DISCONNECT)
+    )
+)
 
 
 # Commands whose fourth argument is the upstream password.
@@ -232,19 +219,6 @@ class CommandOutcome(NamedTuple):
     end_session: bool = False
 
 
-# Used only when the registry has zero packs; real deployments always have
-# at least one language, but errors still need wording.
-_FALLBACK_PACK = LanguagePack(
-    code="",
-    display_name="",
-    segment_lexicons={},
-    code_tables={},
-    files_not_found="HL7 files not found! Please choose another language!",
-    none="None",
-    not_present="No data available.",
-)
-
-
 def build_patient_query(
     cnp: str, user: str, password: str, control_id: str
 ) -> Hl7Message:
@@ -290,7 +264,7 @@ class Interpreter:
         registry: RegistryHolder,
         mapping: dict[str, tuple[str, int]],
         connect: Callable[[UpstreamEndpoint], UpstreamConnection] = connect_upstream,
-        upstream_timeout_ms: int = 5000,
+        upstream_timeout_ms: int = DEFAULT_TIMEOUT_MS,
     ):
         self._registry = registry
         self._mapping = mapping
@@ -328,12 +302,7 @@ class Interpreter:
     def _pack(self, session: Session) -> LanguagePack:
         """The session's pack; the default one before a language is set."""
         registry = self._registry.get()
-        pack = None
-        if session.language is not None:
-            pack = registry.pack(session.language)
-        if pack is None:
-            pack = registry.default_pack()
-        return pack if pack is not None else _FALLBACK_PACK
+        return registry.packs.get(session.language) or registry.default_pack()
 
     def _expect_args(self, session: Session, request: CommandRequest, count: int) -> bool:
         if len(request.args) == count:
@@ -392,8 +361,7 @@ class Interpreter:
             # work without a restart: reload once before giving up.
             registry = self._registry.reload()
         if language not in registry.packs:
-            default = registry.default_pack() or _FALLBACK_PACK
-            session.last_error = default.files_not_found
+            session.last_error = registry.default_pack().files_not_found
             return NOK
         session.language = language
         pack = registry.packs[language]
@@ -429,16 +397,13 @@ class Interpreter:
         return OK
 
     def _getter(self, session: Session, canonical: str) -> str:
-        pack = self._pack(session)
-        if session.patient is None:
-            session.last_error = pack.not_present
-            return NOK
-        segment, index = self._mapping[canonical]
-        value = session.patient.field_value(segment, index)
-        if value is None:
-            session.last_error = pack.not_present
-            return NOK
-        return value
+        if session.patient is not None:
+            segment, index = self._mapping[canonical]
+            value = session.patient.field_value(segment, index)
+            if value is not None:
+                return value
+        session.last_error = self._pack(session).not_present
+        return NOK
 
 
 def interpret_segment(seg: Hl7Segment, pack: LanguagePack) -> list[str]:

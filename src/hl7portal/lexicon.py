@@ -33,7 +33,8 @@ _LANGUAGE_LINE = re.compile(r"^(?P<name>.+?)\s*\((?P<code>[^()\s]+)\)$")
 
 
 class RegistryMissing(Exception):
-    """languages.txt is absent; the registry cannot be (re)loaded."""
+    """languages.txt is absent or no language it lists loads; the registry
+    cannot be (re)loaded."""
 
 
 def _read_text(path: Path) -> str:
@@ -101,7 +102,8 @@ class LanguagePack:
 
 @dataclass(frozen=True)
 class LanguageRegistry:
-    """Immutable snapshot of every loadable pack under one directory."""
+    """Immutable snapshot of every loadable pack (at least one) under one
+    directory."""
 
     source_dir: Path
     packs: dict[str, LanguagePack]
@@ -110,13 +112,9 @@ class LanguageRegistry:
     def pack(self, code: str) -> LanguagePack | None:
         return self.packs.get(code)
 
-    def default_pack(self) -> LanguagePack | None:
-        """"en" when loaded, else the first listed language, else None."""
-        if "en" in self.packs:
-            return self.packs["en"]
-        for pack in self.packs.values():
-            return pack
-        return None
+    def default_pack(self) -> LanguagePack:
+        """"en" when loaded, else the first listed language."""
+        return self.packs.get("en") or next(iter(self.packs.values()))
 
 
 def _load_pack(directory: Path, name: str, code: str) -> LanguagePack | None:
@@ -156,8 +154,9 @@ def load_registry(directory: str | Path) -> LanguageRegistry:
     """Load languages.txt and every referenced pack.
 
     A language missing (or with empty) special files is listed as
-    unavailable rather than half-loaded; a missing languages.txt raises
-    RegistryMissing.
+    unavailable rather than half-loaded.  A missing languages.txt, or one
+    under which no language loads, raises RegistryMissing: a registry
+    always holds at least one pack.
     """
     directory = Path(directory)
     index = directory / LANGUAGES_FILE
@@ -184,6 +183,8 @@ def load_registry(directory: str | Path) -> LanguageRegistry:
             unavailable.append(code)
         else:
             packs[code] = pack
+    if not packs:
+        raise RegistryMissing(f"no usable language in {directory / LANGUAGES_FILE}")
     return LanguageRegistry(directory, packs, tuple(unavailable))
 
 

@@ -133,7 +133,6 @@ class UpstreamEndpoint:
     user: str = ""
     password: str = ""
     timeout_ms: int = DEFAULT_TIMEOUT_MS
-    max_frame: int = DEFAULT_MAX_FRAME
 
     def __post_init__(self):
         if not 1 <= self.port <= 65535:
@@ -152,7 +151,7 @@ class UpstreamConnection:
     def __init__(self, sock: socket.socket, endpoint: UpstreamEndpoint):
         self._sock = sock
         self.endpoint = endpoint
-        self._deframer = Deframer(endpoint.max_frame)
+        self._deframer = Deframer()
         self._lock = threading.Lock()
         self._sequence = 0
         self._closed = False

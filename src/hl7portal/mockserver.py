@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .er7 import parse_message, parse_segment, serialize_segment
+from .er7 import DEFAULT_ENCODING, parse_message, parse_segment, serialize_segment
 from .listener import Listener
 from .mllp import Deframer, FrameTooLarge, frame
 
@@ -77,7 +77,8 @@ class MockHl7Server(Listener):
     """Accepts MLLP connections and answers QBP-style patient queries.
 
     With user/password set, queries whose MSH-8 is not "user:password" are
-    rejected.  misbehave=SILENT reads queries and never answers;
+    rejected, and a query in other encoding characters than the default is
+    answered AE, as an unreadable one is.  misbehave=SILENT reads queries and never answers;
     misbehave=GARBAGE answers with bytes that are not a valid HL7 frame
     sequence.
     """
@@ -132,43 +133,37 @@ class MockHl7Server(Listener):
 
     def _respond(self, payload: bytes) -> bytes:
         timestamp = time.strftime("%Y%m%d%H%M%S")
-        control = ""
-        tag = ""
-        qpd_echo = "QPD"
-        cnp = None
-        parse_failed = False
         try:
             query = parse_message(payload)
         except ValueError:
-            parse_failed = True
+            query = None
+        if query is None or query.encoding != DEFAULT_ENCODING:
+            # Unreadable, or escaped for separators the reply's MSH does not
+            # declare: either way the QPD echo is bare and the answer AE.
+            control, tag, qpd_echo, fixture = "", "", "QPD", None
+            ack, status = "AE", "AE"
         else:
             control = query.field_value("MSH", 10) or ""
             tag = query.field_value("QPD", 2) or ""
             cnp = query.field_value("QPD", 3)
             qpd = query.segment("QPD")
-            if qpd is not None:
-                qpd_echo = serialize_segment(qpd)
-        credentials_ok = True
-        if not parse_failed and self._user is not None:
-            credentials_ok = (
-                query.field_value("MSH", 8) == f"{self._user}:{self._password}"
-            )
-        fixture = self._fixtures.get(cnp) if cnp else None
-        if parse_failed:
-            ack, status = "AE", "AE"
-        elif not credentials_ok:
-            ack, status = "AR", "AR"
-        elif fixture is None:
-            ack, status = "AE", "NF"
-        else:
-            ack, status = "AA", "OK"
+            qpd_echo = serialize_segment(qpd) if qpd is not None else "QPD"
+            fixture = self._fixtures.get(cnp) if cnp else None
+            if self._user is not None and (
+                query.field_value("MSH", 8) != f"{self._user}:{self._password}"
+            ):
+                ack, status, fixture = "AR", "AR", None
+            elif fixture is None:
+                ack, status = "AE", "NF"
+            else:
+                ack, status = "AA", "OK"
         lines = [
             f"MSH|^~\\&|MOCKHIS|HIS|||{timestamp}||RSP^K22|R{control}|P|2.3.1",
             f"MSA|{ack}|{control}",
             f"QAK|{tag}|{status}",
             qpd_echo,
         ]
-        if fixture is not None and credentials_ok:
+        if fixture is not None:
             # Spliced in raw, never re-serialized: byte fidelity is the
             # whole point of the fixture format.
             lines.append(fixture.pid_line)

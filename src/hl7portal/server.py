@@ -26,9 +26,7 @@ from .interpreter import (
 )
 from .lexicon import RegistryHolder, load_registry
 from .listener import Listener
-from .mllp import connect_upstream
-
-DEFAULT_LOG_NAME = "simopacServerInterpretare.log"
+from .mllp import DEFAULT_TIMEOUT_MS, connect_upstream
 
 CONNECT = "CONNECT"
 RECV = "RECV"
@@ -51,9 +49,9 @@ class ServerConfig:
     listen_port: int = 7575
     languages_dir: Path = field(default_factory=packaged_languages_dir)
     mapping_selector: str = "simopac"
-    log_path: Path = Path(DEFAULT_LOG_NAME)
+    log_path: Path = Path("simopacServerInterpretare.log")
     max_clients: int = 100
-    upstream_timeout_ms: int = 5000
+    upstream_timeout_ms: int = DEFAULT_TIMEOUT_MS
     idle_timeout_s: float = 600.0
     host: str = "0.0.0.0"
 
@@ -111,7 +109,8 @@ class PortalServer(Listener):
 
     def __init__(self, config: ServerConfig, connect=connect_upstream):
         self.config = config
-        # A missing registry or broken mapping is fatal before the socket exists.
+        # A registry with no usable language, or a broken mapping, is fatal
+        # before the socket exists.
         self._holder = RegistryHolder(load_registry(config.languages_dir))
         mapping = load_mapping(mapping_path(config.mapping_selector))
         self._interpreter = Interpreter(

@@ -152,17 +152,11 @@ class TestParser:
         assert args.max_clients == 100
         assert args.log_file == "simopacServerInterpretare.log"
 
-    def test_env_overrides_defaults(self, monkeypatch):
-        monkeypatch.setenv("HL7PORTAL_PORT", "9999")
-        monkeypatch.setenv("HL7PORTAL_MAPPING", "standard")
+    def test_environment_is_not_read(self, monkeypatch):
+        # Flags are the only configuration channel.
+        monkeypatch.setenv("HL7PORTAL_PORT", "abc")
         args = build_parser().parse_args(["serve"])
-        assert args.port == 9999
-        assert args.mapping == "standard"
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("HL7PORTAL_PORT", "9999")
-        args = build_parser().parse_args(["serve", "--port", "1234"])
-        assert args.port == 1234
+        assert args.port == 7575
 
     def test_client_inline_commands_accumulate(self):
         args = build_parser().parse_args(["client", "-c", "a();", "-c", "b();"])

@@ -67,22 +67,24 @@ class TestLoadRules:
 
     def test_empty_languages_txt(self, tmp_path):
         (tmp_path / "languages.txt").write_text("")
-        reg = load_registry(tmp_path)
-        assert reg.packs == {}
-        assert reg.default_pack() is None
+        with pytest.raises(RegistryMissing):
+            load_registry(tmp_path)
 
     def test_missing_special_marks_unavailable(self, tmp_path):
         make_language(tmp_path, "de", lexicons={"PID": "4=Name"})
+        make_language(tmp_path, "nl")
         (tmp_path / "-none-.de").unlink()
         reg = load_registry(tmp_path)
-        assert reg.packs == {}
+        assert list(reg.packs) == ["nl"]
         assert reg.unavailable == ("de",)
 
     def test_empty_special_marks_unavailable(self, tmp_path):
         make_language(tmp_path, "de")
+        make_language(tmp_path, "nl")
         (tmp_path / "-none-.de").write_text("\n")
         reg = load_registry(tmp_path)
         assert "de" in reg.unavailable
+        assert "de" not in reg.packs
 
     def test_special_trailing_newline_stripped(self, tmp_path):
         make_language(tmp_path, "fr", none="Aucun")

@@ -136,6 +136,15 @@ class TestResponses:
         assert response.field_value("MSA", 1) == "AE"
         assert response.field_value("MSA", 2) == "77"
 
+    def test_query_in_another_encoding_answered_ae(self, mock):
+        # The echo would carry separators the reply's MSH does not declare.
+        payload = raw_exchange(
+            mock.port,
+            b"MSH#*%!$#A#B####QBP*Q22#Q1#P#2.3.1\rQPD#Q22*Find#Q1#175\r",
+        )
+        response = parse_message(payload)
+        assert response.field_value("MSA", 1) == "AE"
+        assert payload.split(b"\r")[3] == b"QPD"
 
     def test_closed_connections_release_their_threads(self, mock):
         for _ in range(5):

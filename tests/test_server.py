@@ -1,6 +1,7 @@
 """Portal server: session loops, isolation, event log, limits."""
 
 import re
+import shutil
 import socket
 import sys
 import threading
@@ -8,9 +9,9 @@ import time
 
 import pytest
 
-from helpers import PATIENT_CNP, PATIENT_PID
+from helpers import PATIENT_CNP, PATIENT_PID, make_language
 from hl7portal.client import LineReader
-from hl7portal.interpreter import MappingError
+from hl7portal.interpreter import MappingError, packaged_languages_dir
 from hl7portal.lexicon import RegistryMissing
 from hl7portal.mockserver import MockHl7Server, PatientFixture
 from hl7portal.server import BindFailed, EventLog, PortalServer, ServerConfig
@@ -458,6 +459,15 @@ class TestStartupFailures:
         with pytest.raises(RegistryMissing):
             PortalServer(config)
 
+    def test_registry_without_a_usable_language_is_fatal(self, tmp_path):
+        make_language(tmp_path, "de")
+        (tmp_path / "-none-.de").unlink()
+        config = ServerConfig(
+            listen_port=0, languages_dir=tmp_path, log_path=tmp_path / "l"
+        )
+        with pytest.raises(RegistryMissing):
+            PortalServer(config)
+
     def test_bad_mapping_selector_is_fatal(self, tmp_path):
         bad = tmp_path / "bad.map"
         bad.write_text("NAME=OBX-1\n")
@@ -475,3 +485,22 @@ class TestReloadHook:
             r[1] == "DIAG" and "reloaded" in r[2]
             for r in read_records(portal.log.path)
         )
+
+    def test_reload_to_no_language_keeps_the_packs_in_use(self, tmp_path, mock):
+        languages = tmp_path / "languages"
+        shutil.copytree(packaged_languages_dir(), languages)
+        config = ServerConfig(
+            listen_port=0,
+            host="127.0.0.1",
+            languages_dir=languages,
+            log_path=tmp_path / "events.log",
+        )
+        with PortalServer(config) as portal:
+            (languages / "languages.txt").write_text("")
+            portal.reload_languages()
+            client = Client(portal.port)
+            try:
+                assert client.ask(f"login(127.0.0.1, {mock.port}, d, d);") == b"OK"
+                assert client.ask(f"usePatient({PATIENT_CNP}, ro);") == b"OK"
+            finally:
+                client.close()
