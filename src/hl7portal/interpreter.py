@@ -356,15 +356,11 @@ class Interpreter:
             session.last_error = "CNP must be non-empty"
             return NOK
         registry = self._registry.get()
-        if language not in registry.packs:
-            # A language dropped into the directory since startup should
-            # work without a restart: reload once before giving up.
-            registry = self._registry.reload()
-        if language not in registry.packs:
+        pack = registry.packs.get(language)
+        if pack is None:
             session.last_error = registry.default_pack().files_not_found
             return NOK
         session.language = language
-        pack = registry.packs[language]
         if session.upstream is None:
             session.last_error = "Not connected to an HL7 server"
             return NOK

@@ -109,9 +109,6 @@ class LanguageRegistry:
     packs: dict[str, LanguagePack]
     unavailable: tuple[str, ...] = ()
 
-    def pack(self, code: str) -> LanguagePack | None:
-        return self.packs.get(code)
-
     def default_pack(self) -> LanguagePack:
         """"en" when loaded, else the first listed language."""
         return self.packs.get("en") or next(iter(self.packs.values()))
@@ -204,12 +201,9 @@ class RegistryHolder:
             return self._registry
 
     def reload(self) -> LanguageRegistry:
-        """Swap in a fresh snapshot; on failure keep the old one."""
-        try:
-            fresh = load_registry(self._registry.source_dir)
-        except RegistryMissing as e:
-            logger.warning("reload failed, keeping previous registry: %s", e)
-            return self.get()
+        """Swap in a fresh snapshot of the same directory.  On failure
+        load_registry's exception propagates and the old snapshot stays."""
+        fresh = load_registry(self._registry.source_dir)
         with self._lock:
             self._registry = fresh
         return fresh

@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .er7 import DEFAULT_ENCODING, parse_message, parse_segment, serialize_segment
+from .er7 import DEFAULT_ENCODING, encode_escapes, parse_message, parse_segment, serialize_segment
 from .listener import Listener
 from .mllp import Deframer, FrameTooLarge, frame
 
@@ -143,8 +143,9 @@ class MockHl7Server(Listener):
             control, tag, qpd_echo, fixture = "", "", "QPD", None
             ack, status = "AE", "AE"
         else:
-            control = query.field_value("MSH", 10) or ""
-            tag = query.field_value("QPD", 2) or ""
+            # Decoded values, escaped again before they are spliced in.
+            control = encode_escapes(query.field_value("MSH", 10) or "")
+            tag = encode_escapes(query.field_value("QPD", 2) or "")
             cnp = query.field_value("QPD", 3)
             qpd = query.segment("QPD")
             qpd_echo = serialize_segment(qpd) if qpd is not None else "QPD"

@@ -24,7 +24,7 @@ from .interpreter import (
     packaged_languages_dir,
     redact_password,
 )
-from .lexicon import RegistryHolder, load_registry
+from .lexicon import RegistryHolder, RegistryMissing, load_registry
 from .listener import Listener
 from .mllp import DEFAULT_TIMEOUT_MS, connect_upstream
 
@@ -121,8 +121,15 @@ class PortalServer(Listener):
         super().__init__(config.host, config.listen_port)
 
     def reload_languages(self) -> None:
-        self._holder.reload()
-        self.log.record("-", DIAG, "language registry reloaded")
+        """Re-read the pack directory (SIGHUP; the only way packs change).
+        A directory that does not load is refused and the packs in use
+        stay.  Logs either outcome and never raises."""
+        try:
+            self._holder.reload()
+        except (RegistryMissing, OSError) as e:
+            self.log.record("-", DIAG, f"language registry reload refused: {e}")
+        else:
+            self.log.record("-", DIAG, "language registry reloaded")
 
     def start(self) -> None:
         try:

@@ -318,7 +318,7 @@ def test_add_language_while_running(tmp_path):
 
         # A segment with no fr lexicon file renders as the files-not-found
         # notice, byte-identical to the authored French text.
-        pack = load_registry(languages).pack("fr")
+        pack = load_registry(languages).packs["fr"]
         lines = interpret_segment(parse_segment("EVN|A01|20260814101500"), pack)
         assert lines == [pack.files_not_found]
         assert lines[0].encode("latin-1") == (

@@ -138,19 +138,19 @@ class TestReload:
     def test_new_language_appears_after_reload(self, tmp_path):
         make_language(tmp_path, "ro")
         holder = RegistryHolder(load_registry(tmp_path))
-        assert holder.get().pack("fr") is None
+        assert holder.get().packs.get("fr") is None
         make_language(tmp_path, "fr", name="Français", none="Aucun")
-        assert holder.get().pack("fr") is None  # snapshot unchanged
+        assert holder.get().packs.get("fr") is None  # snapshot unchanged
         holder.reload()
-        assert holder.get().pack("fr").none == "Aucun"
+        assert holder.get().packs["fr"].none == "Aucun"
 
     def test_reload_failure_keeps_old_snapshot(self, tmp_path):
         make_language(tmp_path, "ro")
         holder = RegistryHolder(load_registry(tmp_path))
         before = holder.get()
         (tmp_path / "languages.txt").unlink()
-        after = holder.reload()
-        assert after is before
+        with pytest.raises(RegistryMissing):
+            holder.reload()
         assert holder.get() is before
 
     def test_reload_unchanged_files_equal_registry(self, tmp_path):

@@ -100,6 +100,20 @@ class TestResponses:
         payload = raw_exchange(mock.port, b"MSH|^~\\&|A|B|||1||QBP^Q22|Q1|P|2.3.1\r" + qpd + b"\r")
         assert payload.split(b"\r")[3] == qpd
 
+    def test_control_id_is_escaped_in_the_reply(self, mock):
+        # MSH-10 and QPD-2 come back as the values that were sent, not as
+        # a separator spliced into MSH, MSA and QAK.
+        payload = raw_exchange(
+            mock.port,
+            b"MSH|^~\\&|A|B|||1||QBP^Q22|Q\\F\\1|P|2.3.1\r"
+            b"QPD|Q22^Find Candidates|Q\\F\\1|" + PATIENT_CNP.encode() + b"\r",
+        )
+        response = parse_message(payload)
+        assert response.field_value("MSH", 10) == "RQ|1"
+        assert response.field_value("MSA", 2) == "Q|1"
+        assert response.field_value("QAK", 1) == "Q|1"
+        assert response.field_value("QAK", 2) == "OK"
+
     def test_miss_has_no_pid(self, mock):
         response = parse_message(raw_query(mock.port, "0000"))
         assert response.field_value("MSA", 1) == "AE"

@@ -1,8 +1,11 @@
 """Portal server: session loops, isolation, event log, limits."""
 
+import errno
 import re
 import shutil
+import signal
 import socket
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +13,7 @@ import time
 import pytest
 
 from helpers import PATIENT_CNP, PATIENT_PID, make_language
+from hl7portal import lexicon
 from hl7portal.client import LineReader
 from hl7portal.interpreter import MappingError, packaged_languages_dir
 from hl7portal.lexicon import RegistryMissing
@@ -478,6 +482,32 @@ class TestStartupFailures:
             PortalServer(config)
 
 
+EN_FILES_NOT_FOUND = b"HL7 files not found! Please choose another language!"
+
+
+def unreadable(path):
+    raise OSError(errno.EIO, "Input/output error", str(path))
+
+
+def reload_diags(path):
+    return [t for _, d, t in read_records(path) if d == "DIAG" and "registry reload" in t]
+
+
+@pytest.fixture()
+def own_packs(tmp_path):
+    """A portal over its own copy of the packaged packs, and that copy."""
+    languages = tmp_path / "languages"
+    shutil.copytree(packaged_languages_dir(), languages)
+    config = ServerConfig(
+        listen_port=0,
+        host="127.0.0.1",
+        languages_dir=languages,
+        log_path=tmp_path / "events.log",
+    )
+    with PortalServer(config) as server:
+        yield server, languages
+
+
 class TestReloadHook:
     def test_reload_languages_records_diag(self, portal):
         portal.reload_languages()
@@ -504,3 +534,74 @@ class TestReloadHook:
                 assert client.ask(f"usePatient({PATIENT_CNP}, ro);") == b"OK"
             finally:
                 client.close()
+            diags = reload_diags(portal.log.path)
+            assert any("reload refused" in t for t in diags)
+            assert not any("reloaded" in t for t in diags)
+
+    def test_new_pack_is_used_only_after_reload(self, own_packs, mock):
+        portal, languages = own_packs
+        make_language(languages, "fr", name="Francais")
+        client = Client(portal.port)
+        try:
+            assert client.ask(f"login(127.0.0.1, {mock.port}, d, d);") == b"OK"
+            assert client.ask(f"usePatient({PATIENT_CNP}, fr);") == b"NOK"
+            assert client.ask("getLastError();") == EN_FILES_NOT_FOUND
+            portal.reload_languages()
+            assert client.ask(f"usePatient({PATIENT_CNP}, fr);") == b"OK"
+        finally:
+            client.close()
+
+    def test_unknown_language_reads_no_pack_file(self, portal, mock, monkeypatch):
+        monkeypatch.setattr(lexicon, "_read_text", unreadable)
+        client = Client(portal.port)
+        try:
+            assert client.ask(f"login(127.0.0.1, {mock.port}, d, d);") == b"OK"
+            assert client.ask(f"usePatient({PATIENT_CNP}, xx);") == b"NOK"
+            assert client.ask("ultimaEroare();") == EN_FILES_NOT_FOUND
+        finally:
+            client.close()
+
+    def test_unreadable_pack_file_refuses_the_reload(self, portal, mock, monkeypatch):
+        monkeypatch.setattr(lexicon, "_read_text", unreadable)
+        portal.reload_languages()
+        diags = reload_diags(portal.log.path)
+        assert len(diags) == 1
+        assert diags[0].startswith("language registry reload refused: [Errno 5]")
+        client = Client(portal.port)
+        try:
+            assert client.ask(f"login(127.0.0.1, {mock.port}, d, d);") == b"OK"
+            assert client.ask(f"usePatient({PATIENT_CNP}, ro);") == b"OK"
+        finally:
+            client.close()
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGHUP"), reason="no SIGHUP here")
+    def test_sighup_with_a_bad_directory_keeps_serve_running(self, tmp_path):
+        languages = tmp_path / "languages"
+        shutil.copytree(packaged_languages_dir(), languages)
+        log = tmp_path / "events.log"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "hl7portal", "serve", "--port", "0",
+                "--host", "127.0.0.1", "--languages-dir", str(languages),
+                "--log-file", str(log),
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            banner = proc.stdout.readline().decode()
+            assert banner.startswith("portal listening on")
+            port = int(banner.rsplit(":", 1)[1])
+            (languages / "languages.txt").write_text("")
+            proc.send_signal(signal.SIGHUP)
+            assert wait_for(lambda: log.exists() and reload_diags(log))
+            assert "reload refused" in reload_diags(log)[0]
+            client = Client(port)
+            try:
+                assert client.ask("ultimaEroare();") == b"None"
+            finally:
+                client.close()
+            assert proc.poll() is None
+        finally:
+            proc.kill()
+            proc.communicate()
