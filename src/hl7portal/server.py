@@ -2,8 +2,8 @@
 
 One thread per downstream client, from the ``Listener`` it shares with the
 mock HIS; sessions share only the immutable registry snapshot, the mapping
-table, and the (internally locked) event log, so no client can affect
-another's state.
+table, and the append-only event log, so no client can affect another's
+state.
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ from __future__ import annotations
 import itertools
 import socket
 import sys
-import threading
+import traceback
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
 from pathlib import Path
+from time import gmtime, strftime, time_ns
 
 from .interpreter import (
+    NOK,
+    CommandOutcome,
     Interpreter,
     Session,
     load_mapping,
@@ -64,44 +66,56 @@ class ServerConfig:
             raise ValueError("timeouts must be positive")
 
 
-class EventLog:
-    """Append-only record log; one flushed line per record.
+# C0 controls, DEL and C1 controls as \xNN; CR and LF keep their \r and
+# \n.  No record can then split into two lines, and no escape sequence
+# reaches an operator's terminal.
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+_CONTROL_ESCAPES.update({ord("\r"): "\\r", ord("\n"): "\\n"})
 
-    Records: "<ISO-8601 UTC ms> <sessionId> <direction> <text>".  Write
-    failures are reported to stderr and swallowed: availability of the
-    portal wins over completeness of the audit trail.
+
+class EventLog:
+    """Append-only record log: "<ISO-8601 UTC ms> <sessionId> <direction> <text>".
+
+    One unbuffered O_APPEND write per record and no lock; a record is in the
+    file (not fsynced) on return.  Failures go to stderr and are swallowed:
+    the portal's availability wins over the completeness of its audit trail.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
-        self._file = None
+        self._stamp = (-1, "")  # (second, its prefix): read and replaced as one
+        try:
+            self._file = open(self.path, "ab", buffering=0)
+        except OSError as e:
+            self._file = None
+            print(f"event log unwritable: {e}", file=sys.stderr)
 
-    @staticmethod
-    def _timestamp() -> str:
-        now = datetime.now(timezone.utc)
-        return now.strftime("%Y-%m-%dT%H:%M:%S") + f".{now.microsecond // 1000:03d}Z"
+    def _timestamp(self) -> str:
+        second, millis = divmod(time_ns() // 1_000_000, 1000)
+        stamp = self._stamp
+        if stamp[0] != second:
+            stamp = self._stamp = (second, strftime("%Y-%m-%dT%H:%M:%S", gmtime(second)))
+        return f"{stamp[1]}.{millis:03d}Z"
 
     def record(self, session_id: str, direction: str, text: str = "") -> None:
-        clean = text.replace("\r", "\\r").replace("\n", "\\n")
-        line = f"{self._timestamp()} {session_id} {direction} {clean}\n"
-        with self._lock:
-            try:
-                if self._file is None:
-                    self._file = open(self.path, "a", encoding="utf-8")
-                self._file.write(line)
-                self._file.flush()
-            except OSError as e:
-                print(f"event log unwritable: {e}", file=sys.stderr)
+        if self._file is None:
+            return
+        if not text.isprintable():
+            text = text.translate(_CONTROL_ESCAPES)
+        line = f"{self._timestamp()} {session_id} {direction} {text}\n"
+        try:
+            self._file.write(line.encode("utf-8", "backslashreplace"))
+        except ValueError:
+            pass  # closed: nothing is written after close()
+        except OSError as e:
+            print(f"event log unwritable: {e}", file=sys.stderr)
 
     def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                try:
-                    self._file.close()
-                except OSError:
-                    pass
-                self._file = None
+        if self._file is not None:
+            try:
+                self._file.close()
+            except OSError:
+                pass
 
 
 class PortalServer(Listener):
@@ -135,6 +149,7 @@ class PortalServer(Listener):
         try:
             super().start()
         except OSError as e:
+            self.log.close()
             raise BindFailed(f"cannot listen on port {self.config.listen_port}: {e}") from e
 
     def stop(self) -> None:
@@ -153,6 +168,20 @@ class PortalServer(Listener):
         except OSError:
             pass
         return False
+
+    def _handle(self, session: Session, line: str) -> CommandOutcome:
+        """``handle_line``, with a last resort for a bug in it: the
+        session answers NOK and lives on."""
+        try:
+            return self._interpreter.handle_line(session, line)
+        except Exception as e:
+            # Type and place only: the message could carry a login's arguments.
+            frame = traceback.extract_tb(e.__traceback__)[-1]
+            where = f"{Path(frame.filename).name}:{frame.lineno}"
+            name = type(e).__name__
+            self.log.record(session.id, DIAG, f"internal error {name} at {where}, answering NOK")
+            session.last_error = f"Internal error: {name}"
+            return CommandOutcome(NOK)
 
     def serve_connection(self, conn: socket.socket, peer) -> None:
         session_id = f"s{next(self._ids)}"
@@ -184,7 +213,7 @@ class PortalServer(Listener):
                             raw = raw[:-1]
                         line = raw.decode("latin-1")
                         self.log.record(session_id, RECV, redact_password(line))
-                        outcome = self._interpreter.handle_line(session, line)
+                        outcome = self._handle(session, line)
                         try:
                             conn.sendall(outcome.response.encode("latin-1") + b"\n")
                         except OSError:

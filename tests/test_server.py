@@ -13,9 +13,9 @@ import time
 import pytest
 
 from helpers import PATIENT_CNP, PATIENT_PID, make_language
-from hl7portal import lexicon
+from hl7portal import lexicon, server
 from hl7portal.client import LineReader
-from hl7portal.interpreter import MappingError, packaged_languages_dir
+from hl7portal.interpreter import Interpreter, MappingError, packaged_languages_dir
 from hl7portal.lexicon import RegistryMissing
 from hl7portal.mockserver import MockHl7Server, PatientFixture
 from hl7portal.server import BindFailed, EventLog, PortalServer, ServerConfig
@@ -93,6 +93,38 @@ class TestEventLog:
         log = EventLog(tmp_path)  # a directory: opening for append fails
         log.record("s1", "DIAG", "x")
         assert "event log unwritable" in capsys.readouterr().err
+
+    def test_control_characters_are_escaped(self, tmp_path):
+        log = EventLog(tmp_path / "events.log")
+        # \x1c, \x0b and \x85 each end a line for str.splitlines(); \x1b
+        # starts a terminal escape sequence; \t, \x7f and \x9b are C0, DEL, C1.
+        log.record("s1", "RECV", "nume(\x1c\x0b\x85);\x1b[2J\t\x7f\x9bé")
+        # A lone surrogate, as os.fsdecode() turns a non-UTF-8 path byte into.
+        log.record("-", "DIAG", "no usable language in /srv/\udcff")
+        log.close()
+        assert read_records(log.path) == [
+            ("s1", "RECV", "nume(\\x1c\\x0b\\x85);\\x1b[2J\\x09\\x7f\\x9bé"),
+            ("-", "DIAG", "no usable language in /srv/\\udcff"),
+        ]
+
+    def test_timestamp_across_a_second_boundary(self, tmp_path, monkeypatch):
+        clock = iter([1_700_000_000_999_999_999, 1_700_000_001_000_000_000])
+        monkeypatch.setattr(server, "time_ns", lambda: next(clock))
+        log = EventLog(tmp_path / "events.log")
+        log.record("s1", "DIAG", "before")
+        log.record("s1", "DIAG", "after")
+        log.close()
+        stamps = [line.split(" ", 1)[0] for line in log.path.read_text().splitlines()]
+        assert stamps == ["2023-11-14T22:13:20.999Z", "2023-11-14T22:13:21.000Z"]
+
+    def test_record_after_close_writes_nothing(self, tmp_path, capsys):
+        log = EventLog(tmp_path / "events.log")
+        log.record("s1", "DIAG", "open")
+        log.close()
+        log.record("s1", "DIAG", "closed")
+        log.close()
+        assert read_records(log.path) == [("s1", "DIAG", "open")]
+        assert capsys.readouterr().err == ""
 
 
 @pytest.fixture()
@@ -250,6 +282,36 @@ class TestSessions:
         log = portal.log.path.read_text("utf-8")
         assert "SECRET" not in log
         assert f"{mock.port}, d,***" in log
+
+    def test_exception_in_handle_line_answers_nok_and_keeps_the_session(
+        self, portal, monkeypatch
+    ):
+        handle_line = Interpreter.handle_line
+        calls = []
+
+        def fails_once(interpreter, session, line):
+            calls.append(line)
+            if len(calls) == 1:
+                raise KeyError("login(h, 1, u, SECRET)")
+            return handle_line(interpreter, session, line)
+
+        monkeypatch.setattr(Interpreter, "handle_line", fails_once)
+        client = Client(portal.port)
+        try:
+            assert client.ask("nume();") == b"NOK"
+            assert client.ask("ultimaEroare();") == b"Internal error: KeyError"
+            assert client.ask("deconectare();") == b"OK"
+        finally:
+            client.close()
+        assert wait_for(
+            lambda: any(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+        )
+        records = read_records(portal.log.path)
+        diags = [text for _, direction, text in records if direction == "DIAG"]
+        assert len(diags) == 1
+        assert diags[0].startswith("internal error KeyError at test_server.py:")
+        assert "SECRET" not in portal.log.path.read_text("utf-8")
+        assert ("s1", "DISCONNECT", "client disconnect command") in records
 
     def test_framing_byte_in_argument_answers_nok(self, portal, mock):
         client = Client(portal.port)
@@ -412,6 +474,46 @@ class TestSessions:
             )
             records = read_records(portal.log.path)
             assert any(r[1] == "DIAG" and "idle" in r[2] for r in records)
+
+
+class TestTraceContract:
+    """bench/traced_portal.py wraps these two callables the same way: it
+    counts a command at each RECV record, by the positional direction."""
+
+    def test_each_command_is_recv_then_handle_line_then_send(
+        self, portal, mock, monkeypatch
+    ):
+        events = []
+        record, handle_line = EventLog.record, Interpreter.handle_line
+
+        def traced_record(*args, **kwargs):
+            events.append(args[2])
+            return record(*args, **kwargs)
+
+        def traced_handle_line(*args, **kwargs):
+            events.append("handle_line")
+            return handle_line(*args, **kwargs)
+
+        monkeypatch.setattr(EventLog, "record", traced_record)
+        monkeypatch.setattr(Interpreter, "handle_line", traced_handle_line)
+        commands = [
+            f"login(127.0.0.1, {mock.port}, d, d);",
+            f"usePatient({PATIENT_CNP}, en);",
+            "getName();",
+            "bogus();",
+            "getLastError();",
+            "logout();",
+        ]
+        client = Client(portal.port)
+        try:
+            for command in commands:
+                assert client.ask(command) is not None
+        finally:
+            client.close()
+        assert wait_for(lambda: "DISCONNECT" in events)
+        assert events == [
+            "CONNECT", *["RECV", "handle_line", "SEND"] * len(commands), "DISCONNECT"
+        ]
 
 
 class TestStop:
