@@ -92,25 +92,13 @@ def decode_escapes(text: str, enc: EncodingChars = DEFAULT_ENCODING) -> str:
         "E": enc.escape_char,
         "T": enc.subcomponent_sep,
     }
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch != esc:
-            out.append(ch)
-            i += 1
-            continue
-        end = text.find(esc, i + 1)
-        if end < 0:
-            out.append(text[i:])
-            break
-        seq = text[i + 1 : end]
-        if seq in known:
-            out.append(known[seq])
-        else:
-            out.append(text[i : end + 1])
-        i = end + 1
-    return "".join(out)
+    # Escape characters pair off left to right, so every odd part lies
+    # between a pair; a lone last escape character stays in the text.
+    parts = text.split(esc)
+    if len(parts) % 2 == 0:
+        parts[-2:] = [parts[-2] + esc + parts[-1]]
+    parts[1::2] = [known.get(seq, esc + seq + esc) for seq in parts[1::2]]
+    return "".join(parts)
 
 
 def encode_escapes(text: str, enc: EncodingChars = DEFAULT_ENCODING) -> str:

@@ -38,80 +38,62 @@ logger = logging.getLogger(__name__)
 OK = "OK"
 NOK = "NOK"
 
-# Canonical session-command ids; the getter ids appear only in ALIASES and
+# Canonical session-command ids; the getter ids appear only in COMMANDS and
 # map 1:1 onto mapping-file entries.
 CONNECT = "CONNECT"
 USE_PATIENT = "USE_PATIENT"
 LAST_ERROR = "LAST_ERROR"
 DISCONNECT = "DISCONNECT"
 
-# The command table: Romanian/English alias pairs, both first-class.
-ALIASES = {
-    "conectare": CONNECT,
-    "login": CONNECT,
-    "utilizarePacient": USE_PATIENT,
-    "usePatient": USE_PATIENT,
-    "idExternPacient": "EXTERNAL_ID",
-    "getExternalID": "EXTERNAL_ID",
-    "idInternPacient": "INTERNAL_ID",
-    "getInternalID": "INTERNAL_ID",
-    "idAlternativPacient": "ALTERNATE_ID",
-    "getAlternateID": "ALTERNATE_ID",
-    "nume": "NAME",
-    "getName": "NAME",
-    "numeFataMama": "MOTHER_MAIDEN_NAME",
-    "getMotherMaidenName": "MOTHER_MAIDEN_NAME",
-    "dataNasterii": "DATE_OF_BIRTH",
-    "getDateOfBirth": "DATE_OF_BIRTH",
-    "sex": "SEX",
-    "getSex": "SEX",
-    "rasa": "RACE",
-    "getRace": "RACE",
-    "adresa": "ADDRESS",
-    "getAddress": "ADDRESS",
-    "codulTarii": "COUNTRY_CODE",
-    "getCountryCode": "COUNTRY_CODE",
-    "numarTelefon": "HOME_PHONE",
-    "getHomePhoneNumber": "HOME_PHONE",
-    "numarTelefonServicii": "BUSINESS_PHONE",
-    "getBusinessPhoneNumber": "BUSINESS_PHONE",
-    "limbaNatala": "PRIMARY_LANGUAGE",
-    "getPrimaryLanguage": "PRIMARY_LANGUAGE",
-    "stareCivila": "MARITAL_STATUS",
-    "getMaritalStatus": "MARITAL_STATUS",
-    "religie": "RELIGION",
-    "getReligion": "RELIGION",
-    "numarContBancar": "ACCOUNT_NUMBER",
-    "getAccountNumber": "ACCOUNT_NUMBER",
-    "codNumericPersonal": "CNP",
-    "getCNP": "CNP",
-    "serieCarteIdentitate": "DRIVERS_LICENSE",
-    "getDriversLicenseNumber": "DRIVERS_LICENSE",
-    "minoritateaEtnica": "ETHNIC_GROUP",
-    "getEthnicGroup": "ETHNIC_GROUP",
-    "loculNasterii": "BIRTH_PLACE",
-    "getBirthPlace": "BIRTH_PLACE",
-    "cetatenie": "CITIZENSHIP",
-    "getCitizenship": "CITIZENSHIP",
-    "nationalitate": "NATIONALITY",
-    "getNationality": "NATIONALITY",
-    "ultimaEroare": LAST_ERROR,
-    "getLastError": LAST_ERROR,
-    # Added pair: explicit session teardown on request.
-    "deconectare": DISCONNECT,
-    "logout": DISCONNECT,
-}
 
-# Data getters, in table order: every canonical id that is not a session
-# command.
-GETTERS = tuple(
-    dict.fromkeys(
-        canonical
-        for canonical in ALIASES.values()
-        if canonical not in (CONNECT, USE_PATIENT, LAST_ERROR, DISCONNECT)
-    )
+class Command(NamedTuple):
+    canonical: str
+    romanian: str
+    english: str
+    args: tuple[str, ...] = ()
+
+
+# The command table: one row per command, its Romanian and English
+# spellings both first-class, and the names of its arguments.
+COMMANDS = (
+    Command(CONNECT, "conectare", "login", ("host", "port", "user", "password")),
+    Command(USE_PATIENT, "utilizarePacient", "usePatient", ("cnp", "language")),
+    Command("EXTERNAL_ID", "idExternPacient", "getExternalID"),
+    Command("INTERNAL_ID", "idInternPacient", "getInternalID"),
+    Command("ALTERNATE_ID", "idAlternativPacient", "getAlternateID"),
+    Command("NAME", "nume", "getName"),
+    Command("MOTHER_MAIDEN_NAME", "numeFataMama", "getMotherMaidenName"),
+    Command("DATE_OF_BIRTH", "dataNasterii", "getDateOfBirth"),
+    Command("SEX", "sex", "getSex"),
+    Command("RACE", "rasa", "getRace"),
+    Command("ADDRESS", "adresa", "getAddress"),
+    Command("COUNTRY_CODE", "codulTarii", "getCountryCode"),
+    Command("HOME_PHONE", "numarTelefon", "getHomePhoneNumber"),
+    Command("BUSINESS_PHONE", "numarTelefonServicii", "getBusinessPhoneNumber"),
+    Command("PRIMARY_LANGUAGE", "limbaNatala", "getPrimaryLanguage"),
+    Command("MARITAL_STATUS", "stareCivila", "getMaritalStatus"),
+    Command("RELIGION", "religie", "getReligion"),
+    Command("ACCOUNT_NUMBER", "numarContBancar", "getAccountNumber"),
+    Command("CNP", "codNumericPersonal", "getCNP"),
+    Command("DRIVERS_LICENSE", "serieCarteIdentitate", "getDriversLicenseNumber"),
+    Command("ETHNIC_GROUP", "minoritateaEtnica", "getEthnicGroup"),
+    Command("BIRTH_PLACE", "loculNasterii", "getBirthPlace"),
+    Command("CITIZENSHIP", "cetatenie", "getCitizenship"),
+    Command("NATIONALITY", "nationalitate", "getNationality"),
+    Command(LAST_ERROR, "ultimaEroare", "getLastError"),
+    # Added pair: explicit session teardown on request.
+    Command(DISCONNECT, "deconectare", "logout"),
 )
 
+_BY_NAME = {name: c for c in COMMANDS for name in (c.romanian, c.english)}
+ALIASES = {name: c.canonical for name, c in _BY_NAME.items()}
+
+# Data getters, in table order: every command that is not a session command.
+GETTERS = tuple(
+    c.canonical
+    for c in COMMANDS
+    if c.canonical not in (CONNECT, USE_PATIENT, LAST_ERROR, DISCONNECT)
+)
 
 # Commands whose fourth argument is the upstream password.
 _LOGIN_NAMES = tuple(name for name, canonical in ALIASES.items() if canonical == CONNECT)
@@ -274,27 +256,34 @@ class Interpreter:
     def handle_line(self, session: Session, line: str) -> CommandOutcome:
         """Execute one command line; always returns exactly one response."""
         try:
-            request = parse_command(line)
+            name, args = parse_command(line)
         except CommandSyntaxError as e:
             session.last_error = str(e)
             return CommandOutcome(NOK)
-        canonical = ALIASES.get(request.name)
-        if canonical is None:
-            session.last_error = f"Unknown command: {request.name}"
+        command = _BY_NAME.get(name)
+        if command is None:
+            session.last_error = f"Unknown command: {name}"
             return CommandOutcome(NOK)
-        if canonical == CONNECT:
-            return CommandOutcome(self._connect_cmd(session, request))
-        if canonical == USE_PATIENT:
-            return CommandOutcome(self._use_patient(session, request))
-        if canonical == DISCONNECT:
-            if not self._expect_args(session, request, 0):
+        if len(args) != len(command.args):
+            session.last_error = (
+                f"{name} expects {len(command.args)} argument(s), got {len(args)}"
+            )
+            return CommandOutcome(NOK)
+        # No line break or framing byte may reach the upstream query.
+        for arg, value in zip(command.args, args):
+            if not _ILLEGAL_ARGUMENT_CHARS.isdisjoint(value):
+                session.last_error = f"{name}: argument {arg} holds a control character"
                 return CommandOutcome(NOK)
+        canonical = command.canonical
+        if canonical == CONNECT:
+            return CommandOutcome(self._connect_cmd(session, args))
+        if canonical == USE_PATIENT:
+            return CommandOutcome(self._use_patient(session, args))
+        if canonical == DISCONNECT:
             if session.upstream is not None:
                 session.upstream.close()
                 session.upstream = None
             return CommandOutcome(OK, end_session=True)
-        if not self._expect_args(session, request, 0):
-            return CommandOutcome(NOK)
         if canonical == LAST_ERROR:
             return CommandOutcome(session.last_error or self._pack(session).none)
         return CommandOutcome(self._getter(session, canonical))
@@ -304,33 +293,8 @@ class Interpreter:
         registry = self._registry.get()
         return registry.packs.get(session.language) or registry.default_pack()
 
-    def _expect_args(self, session: Session, request: CommandRequest, count: int) -> bool:
-        if len(request.args) == count:
-            return True
-        session.last_error = (
-            f"{request.name} expects {count} argument(s), got {len(request.args)}"
-        )
-        return False
-
-    def _clean_args(
-        self, session: Session, request: CommandRequest, names: tuple[str, ...]
-    ) -> bool:
-        """Arity check, then refuse arguments that would reach the upstream
-        query with a line break or framing byte in them."""
-        if not self._expect_args(session, request, len(names)):
-            return False
-        for name, value in zip(names, request.args):
-            if not _ILLEGAL_ARGUMENT_CHARS.isdisjoint(value):
-                session.last_error = (
-                    f"{request.name}: argument {name} holds a control character"
-                )
-                return False
-        return True
-
-    def _connect_cmd(self, session: Session, request: CommandRequest) -> str:
-        if not self._clean_args(session, request, ("host", "port", "user", "password")):
-            return NOK
-        host, port_text, user, password = request.args
+    def _connect_cmd(self, session: Session, args: list[str]) -> str:
+        host, port_text, user, password = args
         try:
             endpoint = UpstreamEndpoint(
                 host, int(port_text), user, password, self._upstream_timeout_ms
@@ -348,10 +312,8 @@ class Interpreter:
         session.upstream = upstream
         return OK
 
-    def _use_patient(self, session: Session, request: CommandRequest) -> str:
-        if not self._clean_args(session, request, ("cnp", "language")):
-            return NOK
-        cnp, language = request.args
+    def _use_patient(self, session: Session, args: list[str]) -> str:
+        cnp, language = args
         if not cnp:
             session.last_error = "CNP must be non-empty"
             return NOK

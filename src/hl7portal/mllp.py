@@ -165,7 +165,8 @@ class UpstreamConnection:
         """Send one framed query and block for one framed response.
 
         Raises ExchangeTimeout, ConnectionLost, FrameTooLarge, or the
-        parser's MalformedSegment.  A timeout or an oversized frame also
+        parser's MalformedSegment or EmptyMessage (a frame with no segment,
+        such as ``0x0B 0x1C 0x0D``).  A timeout or an oversized frame also
         closes the connection, so a late reply can never be read as the
         answer to a later query.
         """

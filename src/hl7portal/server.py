@@ -36,7 +36,7 @@ SEND = "SEND"
 DISCONNECT = "DISCONNECT"
 DIAG = "DIAG"
 
-# Longest command line the session buffers while waiting for its LF.
+# Most bytes a command line may hold before its LF (a CR counts).
 MAX_LINE_BYTES = 64 * 1024
 
 
@@ -67,10 +67,11 @@ class ServerConfig:
 
 
 # C0 controls, DEL and C1 controls as \xNN; CR and LF keep their \r and
-# \n.  No record can then split into two lines, and no escape sequence
-# reaches an operator's terminal.
+# \n, and a backslash is doubled so that every escape reads back as one.
+# No record can then split into two lines, and no escape sequence reaches
+# an operator's terminal.
 _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
-_CONTROL_ESCAPES.update({ord("\r"): "\\r", ord("\n"): "\\n"})
+_CONTROL_ESCAPES.update({ord("\r"): "\\r", ord("\n"): "\\n", ord("\\"): "\\\\"})
 
 
 class EventLog:
@@ -100,7 +101,7 @@ class EventLog:
     def record(self, session_id: str, direction: str, text: str = "") -> None:
         if self._file is None:
             return
-        if not text.isprintable():
+        if not text.isprintable() or "\\" in text:
             text = text.translate(_CONTROL_ESCAPES)
         line = f"{self._timestamp()} {session_id} {direction} {text}\n"
         try:
@@ -189,49 +190,33 @@ class PortalServer(Listener):
         self.log.record(session_id, CONNECT, f"{peer[0]}:{peer[1]}")
         reason = "peer closed connection"
         conn.settimeout(self.config.idle_timeout_s)
-        buffer = b""
         try:
-            while True:
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    reason = "idle timeout"
-                    self.log.record(session_id, DIAG, "idle timeout, closing session")
-                    return
-                except OSError:
-                    return
-                if chunk == b"":
-                    return
-                buffer += chunk
-                # Only complete LF-terminated lines are commands; a trailing
-                # CR (Windows clients) is stripped.  What precedes the new
-                # chunk holds no LF, so only the chunk is searched.
-                if b"\n" in chunk:
-                    *lines, buffer = buffer.split(b"\n")
-                    for raw in lines:
-                        if raw.endswith(b"\r"):
-                            raw = raw[:-1]
-                        line = raw.decode("latin-1")
-                        self.log.record(session_id, RECV, redact_password(line))
-                        outcome = self._handle(session, line)
-                        try:
-                            conn.sendall(outcome.response.encode("latin-1") + b"\n")
-                        except OSError:
-                            return
-                        self.log.record(session_id, SEND, outcome.response)
-                        if outcome.end_session:
-                            reason = "client disconnect command"
-                            return
-                if len(buffer) > MAX_LINE_BYTES:
-                    reason = "line too long"
-                    self.log.record(
-                        session_id, DIAG, f"no LF within {MAX_LINE_BYTES} bytes, answering NOK"
-                    )
-                    try:
-                        conn.sendall(b"NOK\n")
-                    except OSError:
-                        pass
-                    return
+            with conn.makefile("rb") as lines:
+                while True:
+                    raw = lines.readline(MAX_LINE_BYTES + 1)
+                    # Only complete LF-terminated lines are commands; EOF
+                    # inside a line ends the session without one.
+                    if not raw.endswith(b"\n"):
+                        if len(raw) > MAX_LINE_BYTES:
+                            reason = "line too long"
+                            text = f"no LF within {MAX_LINE_BYTES} bytes, answering NOK"
+                            self.log.record(session_id, DIAG, text)
+                            conn.sendall(b"NOK\n")
+                        return
+                    # A trailing CR (Windows clients) is stripped.
+                    line = raw[:-1].removesuffix(b"\r").decode("latin-1")
+                    self.log.record(session_id, RECV, redact_password(line))
+                    outcome = self._handle(session, line)
+                    conn.sendall(outcome.response.encode("latin-1") + b"\n")
+                    self.log.record(session_id, SEND, outcome.response)
+                    if outcome.end_session:
+                        reason = "client disconnect command"
+                        return
+        except socket.timeout:
+            reason = "idle timeout"
+            self.log.record(session_id, DIAG, "idle timeout, closing session")
+        except OSError:
+            pass  # the peer is gone
         finally:
             if session.upstream is not None:
                 session.upstream.close()

@@ -1,5 +1,7 @@
 """Codec tests: field addressing, MSH quirks, escapes, round trips."""
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,6 +109,24 @@ class TestEscapes:
     @given(st.text(alphabet=st.characters(min_codepoint=0x20, max_codepoint=0x7E)))
     def test_decode_inverts_encode(self, text):
         assert decode_escapes(encode_escapes(text)) == text
+
+    @pytest.mark.parametrize("enc", [EncodingChars(), EncodingChars("#", "!", "$", "%", "*")])
+    @given(text=st.text(alphabet=st.sampled_from("\\\\\\%%%FSRETHX0a|^~&#!$*")))
+    def test_decode_matches_a_pairwise_reference(self, enc, text):
+        # Escape characters pair off left to right; the text between a pair
+        # is replaced when it is a known sequence and kept otherwise.
+        esc = re.escape(enc.escape_char)
+        known = {
+            "F": enc.field_sep,
+            "S": enc.component_sep,
+            "R": enc.repetition_sep,
+            "E": enc.escape_char,
+            "T": enc.subcomponent_sep,
+        }
+        expected = re.sub(
+            f"{esc}([^{esc}]*){esc}", lambda m: known.get(m.group(1), m.group(0)), text
+        )
+        assert decode_escapes(text, enc) == expected
 
 
 class TestParseMessage:

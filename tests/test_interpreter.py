@@ -1,5 +1,8 @@
 """Command grammar, alias table, mappings, and session execution."""
 
+import socket
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from hl7portal.er7 import (
 )
 from hl7portal.interpreter import (
     ALIASES,
+    COMMANDS,
     GETTERS,
     CommandSyntaxError,
     Interpreter,
@@ -25,7 +29,7 @@ from hl7portal.interpreter import (
     parse_command,
 )
 from hl7portal.lexicon import RegistryHolder, load_registry
-from hl7portal.mllp import UpstreamEndpoint
+from hl7portal.mllp import Deframer, UpstreamEndpoint
 from hl7portal.mockserver import MockHl7Server, PatientFixture
 
 
@@ -462,6 +466,49 @@ class TestArgumentHygiene:
         assert connects == []
         assert session.upstream is None
 
+    # Table-driven: COMMANDS states each command's arguments, and the one
+    # check in handle_line reads them from there.
+    ARITY_CASES = [
+        (name, len(c.args), got)
+        for c in COMMANDS
+        for name in (c.romanian, c.english)
+        for got in {len(c.args) + 1, abs(len(c.args) - 1)}
+    ]
+
+    @pytest.mark.parametrize("name,expected,got", ARITY_CASES)
+    def test_wrong_arity_names_the_expected_count(self, stubbed, name, expected, got):
+        interp, connects = stubbed
+        session = Session("s1")
+        args = ", ".join(["a"] * got)
+        assert interp.handle_line(session, f"{name}({args});").response == "NOK"
+        assert session.last_error == f"{name} expects {expected} argument(s), got {got}"
+        assert interp.handle_line(session, "ultimaEroare();").response == session.last_error
+        assert connects == []
+
+    VALID_ARGS = {"CONNECT": ["h", "1", "u", "p"], "USE_PATIENT": [PATIENT_CNP, "ro"]}
+    ARGUMENT_CASES = [
+        (name, c.canonical, index, arg)
+        for c in COMMANDS
+        if c.args
+        for name in (c.romanian, c.english)
+        for index, arg in enumerate(c.args)
+    ]
+
+    @pytest.mark.parametrize("char", ["\r", "\n", "\x0b", "\x1c"])
+    @pytest.mark.parametrize("name,canonical,index,arg", ARGUMENT_CASES)
+    def test_control_character_in_each_argument_is_refused(
+        self, stubbed, name, canonical, index, arg, char
+    ):
+        interp, connects = stubbed
+        session = Session("s1")
+        assert interp.handle_line(session, "login(h, 1, u, p);").response == "OK"
+        args = list(self.VALID_ARGS[canonical])
+        args[index] = f"a{char}b"
+        assert interp.handle_line(session, f"{name}({', '.join(args)});").response == "NOK"
+        assert session.last_error == f"{name}: argument {arg} holds a control character"
+        assert len(connects) == 1
+        assert connects[0].queries == []
+
     def test_clean_arguments_still_query(self, stubbed):
         interp, connects = stubbed
         session = Session("s1")
@@ -469,6 +516,43 @@ class TestArgumentHygiene:
         assert interp.handle_line(session, f"usePatient({PATIENT_CNP}, ro);").response == "OK"
         assert len(connects[0].queries) == 1
         assert connects[0].endpoint == UpstreamEndpoint("h", 1, "u", "p", 5000)
+
+
+class TestEmptyUpstreamFrame:
+    def test_empty_frame_answers_not_present_and_session_goes_on(self, holder, interp):
+        # A scripted upstream that answers every query with an empty frame,
+        # which parse_message refuses with EmptyMessage.
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer():
+            conn, _ = listener.accept()
+            with conn:
+                deframer = Deframer()
+                while data := conn.recv(65536):
+                    for _ in deframer.feed(data):
+                        conn.sendall(b"\x0b\x1c\x0d")
+
+        thread = threading.Thread(target=answer, daemon=True)
+        thread.start()
+        session = Session("s1")
+        try:
+            port = listener.getsockname()[1]
+            assert interp.handle_line(session, f"login(127.0.0.1, {port}, u, p);").response == "OK"
+            use = f"usePatient({PATIENT_CNP}, ro);"
+            assert interp.handle_line(session, use).response == "NOK"
+            not_present = holder.get().packs["ro"].not_present
+            assert session.last_error == not_present
+            assert interp.handle_line(session, "ultimaEroare();").response == not_present
+            assert interp.handle_line(session, "nume();").response == "NOK"
+            # The connection survives the empty frame and is asked again.
+            assert interp.handle_line(session, use).response == "NOK"
+            assert session.upstream is not None and not session.upstream.closed
+        finally:
+            if session.upstream is not None:
+                session.upstream.close()
+            listener.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,8 @@
 """Portal server: session loops, isolation, event log, limits."""
 
 import errno
+import json
+import os
 import re
 import shutil
 import signal
@@ -9,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -116,6 +119,18 @@ class TestEventLog:
         log.close()
         stamps = [line.split(" ", 1)[0] for line in log.path.read_text().splitlines()]
         assert stamps == ["2023-11-14T22:13:20.999Z", "2023-11-14T22:13:21.000Z"]
+
+    def test_backslash_is_escaped(self, tmp_path):
+        log = EventLog(tmp_path / "events.log")
+        log.record("s1", "RECV", "a\\x1cb")  # a, backslash, x, 1, c, b
+        log.record("s1", "RECV", "a\x1cb")  # a, 0x1C, b
+        log.record("s1", "DIAG", "C:\\packs\\")
+        log.close()
+        assert read_records(log.path) == [
+            ("s1", "RECV", "a\\\\x1cb"),
+            ("s1", "RECV", "a\\x1cb"),
+            ("s1", "DIAG", "C:\\\\packs\\\\"),
+        ]
 
     def test_record_after_close_writes_nothing(self, tmp_path, capsys):
         log = EventLog(tmp_path / "events.log")
@@ -408,6 +423,24 @@ class TestSessions:
         records = read_records(portal.log.path)
         assert sum(r[1] == "DIAG" and "no LF" in r[2] for r in records) == 1
 
+    def test_long_line_with_its_lf_is_refused(self, portal):
+        # The bound holds however the bytes arrive: a line whose LF comes
+        # after 100,000 bytes is never served as a command.
+        client = Client(portal.port)
+        try:
+            client.send(b"x" * 100_000 + b"\n")
+            assert client.reader.readline() == b"NOK"
+            assert client.reader.readline() is None
+        finally:
+            client.close()
+        assert wait_for(
+            lambda: any(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+        )
+        records = read_records(portal.log.path)
+        assert [r[1] for r in records] == ["CONNECT", "DIAG", "DISCONNECT"]
+        assert records[1][2] == "no LF within 65536 bytes, answering NOK"
+        assert records[2][2] == "line too long"
+
     def test_client_limit_refused_with_nok(self, tmp_path):
         config = ServerConfig(
             listen_port=0,
@@ -514,6 +547,48 @@ class TestTraceContract:
         assert events == [
             "CONNECT", *["RECV", "handle_line", "SEND"] * len(commands), "DISCONNECT"
         ]
+
+
+    def test_traced_portal_summary_counts_one_session(self, tmp_path):
+        """Runs bench/traced_portal.py, so a refactor that moves a name it
+        wraps shows here and not first in a benchmark run."""
+        root = Path(__file__).resolve().parents[1]
+        summary = tmp_path / "summary.json"
+        proc = subprocess.Popen(
+            [
+                sys.executable, str(root / "bench" / "traced_portal.py"),
+                "--log-file", str(tmp_path / "events.log"), "--summary", str(summary),
+            ],
+            stdout=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        try:
+            port = int(proc.stdout.readline().decode().rsplit(":", 1)[1])
+            with socket.socket() as unused:
+                unused.bind(("127.0.0.1", 0))
+                closed_port = unused.getsockname()[1]
+            client = Client(port)
+            try:
+                assert client.ask(f"login(127.0.0.1, {closed_port}, u, p);") == b"NOK"
+                assert client.ask("nume();") == b"NOK"
+                assert client.ask(f"usePatient({PATIENT_CNP}, xx);") == b"NOK"
+                assert client.ask("logout();") == b"OK"
+                assert client.reader.readline() is None
+            finally:
+                client.close()
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate()
+        totals = json.loads(summary.read_text())
+        assert totals["handle_line"]["count"] == 4
+        assert totals["parse_command"]["count"] == 4
+        directions = totals["event_log_record.directions"]
+        assert (directions["RECV"], directions["SEND"]) == (4, 4)
+        assert (directions["CONNECT"], directions["DISCONNECT"]) == (1, 1)
+        assert totals["registry_get"]["count"] >= 1
 
 
 class TestStop:
