@@ -10,27 +10,39 @@ import socket
 import sys
 from pathlib import Path
 
+from .mllp import DEFAULT_MAX_FRAME
+
 EXIT_OK = 0
 EXIT_NOK = 1
 EXIT_CONNECT = 2
 
+# The longest reply: a getter's value comes from one upstream frame.
+MAX_REPLY_BYTES = DEFAULT_MAX_FRAME
+
+
+class ReplyTooLong(Exception):
+    """A portal line without its LF within MAX_REPLY_BYTES: a protocol error."""
+
 
 class LineReader:
-    """Buffered LF-line reader over a socket; readline() is terminator-free."""
+    """LF-line reader over a socket's buffered file; readline() is
+    terminator-free.  It holds the socket's descriptor open until closed."""
 
     def __init__(self, sock: socket.socket):
-        self._sock = sock
-        self._buffer = b""
+        self._lines = sock.makefile("rb")
 
     def readline(self) -> bytes | None:
-        """Next line without its LF (a trailing CR is stripped), or None on EOF."""
-        while b"\n" not in self._buffer:
-            chunk = self._sock.recv(65536)
-            if chunk == b"":
-                return None
-            self._buffer += chunk
-        line, _, self._buffer = self._buffer.partition(b"\n")
-        return line[:-1] if line.endswith(b"\r") else line
+        """Next line without its LF (a trailing CR is stripped), or None on
+        EOF; raises ReplyTooLong rather than buffer a longer line."""
+        line = self._lines.readline(MAX_REPLY_BYTES + 1)
+        if not line.endswith(b"\n"):
+            if len(line) > MAX_REPLY_BYTES:
+                raise ReplyTooLong(f"no LF within {MAX_REPLY_BYTES} bytes of a reply")
+            return None
+        return line[:-1].removesuffix(b"\r")
+
+    def close(self) -> None:
+        self._lines.close()
 
 
 def read_script(path: str | Path) -> list[str]:
@@ -57,8 +69,8 @@ def run_client(
 
     Batch mode prints "<command> -> <response>" per exchange; interactive
     mode prints the bare response per typed line.  Exit status: 2 when the
-    portal is unreachable or closes mid-session, 1 when --strict and some
-    response was "NOK", else 0.
+    portal is unreachable, closes mid-session or sends a line longer than
+    MAX_REPLY_BYTES, 1 when --strict and some response was "NOK", else 0.
     """
     out = out if out is not None else sys.stdout.buffer
     stdin = stdin if stdin is not None else sys.stdin
@@ -68,10 +80,8 @@ def run_client(
         print(f"cannot connect to {host}:{port}: {e}", file=sys.stderr)
         return EXIT_CONNECT
     saw_nok = False
+    reader = LineReader(sock)
     try:
-        sock.settimeout(timeout)
-        reader = LineReader(sock)
-
         def exchange(command: str) -> bytes | None:
             sock.sendall(command.encode("latin-1", "replace") + b"\n")
             return reader.readline()
@@ -97,10 +107,11 @@ def run_client(
                 out.write(command.encode("latin-1", "replace") + b" -> " + response + b"\n")
                 out.flush()
                 saw_nok = saw_nok or response == b"NOK"
-    except OSError as e:
+    except (OSError, ReplyTooLong) as e:
         print(f"portal connection failed: {e}", file=sys.stderr)
         return EXIT_CONNECT
     finally:
+        reader.close()
         try:
             sock.close()
         except OSError:

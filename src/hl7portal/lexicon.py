@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -186,24 +185,22 @@ def load_registry(directory: str | Path) -> LanguageRegistry:
 
 
 class RegistryHolder:
-    """Shared, atomically swappable registry snapshot.
+    """Shared, swappable registry snapshot.
 
     Sessions call get() per command and keep that snapshot for the whole
-    command, so a concurrent reload never mixes generations mid-render.
+    command, so a reload never mixes generations mid-render.  The get and
+    the swap are each one reference read or write, and reloads run only
+    from the SIGHUP handler, so no lock is needed.
     """
 
     def __init__(self, registry: LanguageRegistry):
-        self._lock = threading.Lock()
         self._registry = registry
 
     def get(self) -> LanguageRegistry:
-        with self._lock:
-            return self._registry
+        return self._registry
 
     def reload(self) -> LanguageRegistry:
         """Swap in a fresh snapshot of the same directory.  On failure
         load_registry's exception propagates and the old snapshot stays."""
-        fresh = load_registry(self._registry.source_dir)
-        with self._lock:
-            self._registry = fresh
-        return fresh
+        self._registry = load_registry(self._registry.source_dir)
+        return self._registry

@@ -5,15 +5,33 @@ per connection, running the subclass's ``serve_connection``.  Live
 connections and threads are tracked under one lock, so ``stop()`` can
 shut every socket down (which wakes a thread blocked in ``recv``) and
 join every thread.
+
+The accept loop waits in ``select`` with no timeout.  ``stop()`` wakes it
+by shutting the listening socket's read side down, which makes it
+readable on Linux (the platform this was tried on); where that
+``shutdown`` raises, the loop polls every FALLBACK_POLL_S instead.
 """
 
 from __future__ import annotations
 
+import functools
 import socket
 import socketserver
 import threading
 
-POLL_INTERVAL_S = 0.2  # how promptly stop() interrupts serve_forever
+FALLBACK_POLL_S = 0.2  # how promptly stop() interrupts serve_forever there
+
+
+@functools.cache
+def _accept_poll_interval() -> float | None:
+    """None where shutdown(SHUT_RD) of a listening socket succeeds, so the
+    stop() wake-up works and serve_forever needs no poll; else the poll."""
+    try:
+        with socket.create_server(("127.0.0.1", 0)) as probe:
+            probe.shutdown(socket.SHUT_RD)
+    except OSError:
+        return FALLBACK_POLL_S
+    return None
 
 
 class Listener(socketserver.TCPServer):
@@ -45,7 +63,7 @@ class Listener(socketserver.TCPServer):
             raise
         self.port = self.server_address[1]
         thread = threading.Thread(
-            target=self.serve_forever, args=(POLL_INTERVAL_S,), daemon=True
+            target=self.serve_forever, args=(_accept_poll_interval(),), daemon=True
         )
         self._threads.append(thread)
         thread.start()
@@ -53,6 +71,10 @@ class Listener(socketserver.TCPServer):
     def stop(self) -> None:
         # shutdown() waits for serve_forever, which runs only after start().
         if self.port is not None:
+            try:
+                self.socket.shutdown(socket.SHUT_RD)  # wakes its select
+            except OSError:
+                pass  # the loop polls: see _accept_poll_interval
             self.shutdown()
         self.server_close()
         with self._lock:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 import socket
-import threading
 import time
 from dataclasses import dataclass
 
@@ -142,17 +141,15 @@ class UpstreamEndpoint:
 
 
 class UpstreamConnection:
-    """One live MLLP connection, owned by a single session.
-
-    ``exchange`` is serialized by a lock: at most one in-flight query per
-    connection.  The deframe buffer is connection-local.
+    """One live MLLP connection, owned by a single session, which makes
+    at most one query at a time on it.  The deframe buffer is
+    connection-local.
     """
 
     def __init__(self, sock: socket.socket, endpoint: UpstreamEndpoint):
         self._sock = sock
         self.endpoint = endpoint
         self._deframer = Deframer()
-        self._lock = threading.Lock()
         self._sequence = 0
         self._closed = False
 
@@ -170,47 +167,40 @@ class UpstreamConnection:
         closes the connection, so a late reply can never be read as the
         answer to a later query.
         """
-        with self._lock:
-            if self._closed:
-                raise ConnectionLost("connection already closed")
-            deadline = time.monotonic() + self.endpoint.timeout_ms / 1000.0
+        if self._closed:
+            raise ConnectionLost("connection already closed")
+        deadline = time.monotonic() + self.endpoint.timeout_ms / 1000.0
+        try:
+            self._sock.sendall(frame(serialize_message(query)))
+        except OSError as e:
+            self.close()
+            raise ConnectionLost(f"send failed: {e}") from e
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                self.close()
+                raise ExchangeTimeout(f"no response within {self.endpoint.timeout_ms} ms")
+            self._sock.settimeout(remaining)
             try:
-                self._sock.sendall(frame(serialize_message(query)))
+                chunk = self._sock.recv(65536)
+            except socket.timeout:
+                self.close()
+                raise ExchangeTimeout(f"no response within {self.endpoint.timeout_ms} ms") from None
             except OSError as e:
                 self.close()
-                raise ConnectionLost(f"send failed: {e}") from e
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    self.close()
-                    raise ExchangeTimeout(
-                        f"no response within {self.endpoint.timeout_ms} ms"
-                    )
-                self._sock.settimeout(remaining)
-                try:
-                    chunk = self._sock.recv(65536)
-                except socket.timeout:
-                    self.close()
-                    raise ExchangeTimeout(
-                        f"no response within {self.endpoint.timeout_ms} ms"
-                    ) from None
-                except OSError as e:
-                    self.close()
-                    raise ConnectionLost(f"receive failed: {e}") from e
-                if chunk == b"":
-                    self.close()
-                    raise ConnectionLost("peer closed the connection")
-                try:
-                    payloads = self._deframer.feed(chunk)
-                except FrameTooLarge:
-                    self.close()
-                    raise
-                if payloads:
-                    if len(payloads) > 1:
-                        logger.warning(
-                            "dropping %d unexpected extra frame(s)", len(payloads) - 1
-                        )
-                    return parse_message(payloads[0])
+                raise ConnectionLost(f"receive failed: {e}") from e
+            if chunk == b"":
+                self.close()
+                raise ConnectionLost("peer closed the connection")
+            try:
+                payloads = self._deframer.feed(chunk)
+            except FrameTooLarge:
+                self.close()
+                raise
+            if payloads:
+                if len(payloads) > 1:
+                    logger.warning("dropping %d unexpected extra frame(s)", len(payloads) - 1)
+                return parse_message(payloads[0])
 
     def close(self):
         if not self._closed:

@@ -3,18 +3,24 @@
 One thread per downstream client, from the ``Listener`` it shares with the
 mock HIS; sessions share only the immutable registry snapshot, the mapping
 table, and the append-only event log, so no client can affect another's
-state.
+state.  A session thread makes one ``recv`` and one ``send`` per command:
+its socket is blocking, with the idle timeout left to the kernel
+(SO_RCVTIMEO/SO_SNDTIMEO), and its log records are queued in memory for
+the log's writer thread, which appends them in batches.
 """
 
 from __future__ import annotations
 
 import itertools
 import socket
+import struct
 import sys
+import threading
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from time import gmtime, strftime, time_ns
+from time import gmtime, sleep, strftime, time_ns
 
 from .interpreter import (
     NOK,
@@ -38,6 +44,11 @@ DIAG = "DIAG"
 
 # Most bytes a command line may hold before its LF (a CR counts).
 MAX_LINE_BYTES = 64 * 1024
+
+# How long a record waits in memory before the event log's writer thread
+# appends it: a busy portal then writes hundreds of records per write,
+# and each record still reaches the file within about this delay.
+BATCH_DELAY_S = 0.01
 
 
 class BindFailed(Exception):
@@ -77,19 +88,29 @@ _CONTROL_ESCAPES.update({ord("\r"): "\\r", ord("\n"): "\\n", ord("\\"): "\\\\"})
 class EventLog:
     """Append-only record log: "<ISO-8601 UTC ms> <sessionId> <direction> <text>".
 
-    One unbuffered O_APPEND write per record and no lock; a record is in the
-    file (not fsynced) on return.  Failures go to stderr and are swallowed:
-    the portal's availability wins over the completeness of its audit trail.
+    ``record`` formats a line, stamped at the call, and queues it with no
+    lock or system call.  A writer thread appends each batch with one
+    O_APPEND write, BATCH_DELAY_S after the batch's first record, and
+    waits untimed while nothing is queued.  ``close()`` writes what is
+    queued; a later record is dropped.  Failures go to stderr and are
+    swallowed: the portal's availability wins over the completeness of
+    its audit trail.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._stamp = (-1, "")  # (second, its prefix): read and replaced as one
+        self._queue: deque[bytes] = deque()
+        self._queued = threading.Event()
+        self._open = False
         try:
             self._file = open(self.path, "ab", buffering=0)
         except OSError as e:
-            self._file = None
             print(f"event log unwritable: {e}", file=sys.stderr)
+            return
+        self._open = True
+        self._writer = threading.Thread(target=self._write_batches, name="event-log", daemon=True)
+        self._writer.start()
 
     def _timestamp(self) -> str:
         second, millis = divmod(time_ns() // 1_000_000, 1000)
@@ -99,24 +120,60 @@ class EventLog:
         return f"{stamp[1]}.{millis:03d}Z"
 
     def record(self, session_id: str, direction: str, text: str = "") -> None:
-        if self._file is None:
+        if not self._open:
             return
         if not text.isprintable() or "\\" in text:
             text = text.translate(_CONTROL_ESCAPES)
         line = f"{self._timestamp()} {session_id} {direction} {text}\n"
-        try:
-            self._file.write(line.encode("utf-8", "backslashreplace"))
-        except ValueError:
-            pass  # closed: nothing is written after close()
-        except OSError as e:
-            print(f"event log unwritable: {e}", file=sys.stderr)
+        self._queue.append(line.encode("utf-8", "backslashreplace"))
+        # After the append: the writer clears the event before it drains,
+        # so a record it misses always sets the event again.
+        if not self._queued.is_set():
+            self._queued.set()
+
+    def _write_batches(self) -> None:
+        queue, queued = self._queue, self._queued
+        while True:
+            queued.wait()
+            if self._open:
+                sleep(BATCH_DELAY_S)
+            queued.clear()
+            # Read before the drain, which then holds every record made
+            # before close() began.
+            closing = not self._open
+            batch = b"".join([queue.popleft() for _ in range(len(queue))])
+            try:
+                while batch:
+                    batch = batch[self._file.write(batch) :]
+            except OSError as e:
+                print(f"event log unwritable: {e}", file=sys.stderr)
+            if closing:
+                return
 
     def close(self) -> None:
-        if self._file is not None:
-            try:
-                self._file.close()
-            except OSError:
-                pass
+        """Write what is queued, stop the writer and close the file."""
+        if not self._open:
+            return
+        self._open = False
+        self._queued.set()
+        self._writer.join()
+        try:
+            self._file.close()
+        except OSError:
+            pass
+
+
+def set_idle_timeout(conn: socket.socket, seconds: float) -> None:
+    """Make ``conn`` blocking, with ``seconds`` as its SO_RCVTIMEO and
+    SO_SNDTIMEO: the kernel then ends a recv or send that waits that long
+    with EAGAIN (BlockingIOError), and CPython makes no poll before each
+    call, as it does for a socket with a Python timeout."""
+    conn.settimeout(None)
+    # struct timeval, at least 1 µs: a zero timeval means no timeout.
+    whole, micros = divmod(max(1, round(seconds * 1_000_000)), 1_000_000)
+    timeval = struct.pack("ll", whole, micros)
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 class PortalServer(Listener):
@@ -189,7 +246,7 @@ class PortalServer(Listener):
         session = Session(session_id)
         self.log.record(session_id, CONNECT, f"{peer[0]}:{peer[1]}")
         reason = "peer closed connection"
-        conn.settimeout(self.config.idle_timeout_s)
+        set_idle_timeout(conn, self.config.idle_timeout_s)
         try:
             with conn.makefile("rb") as lines:
                 while True:
@@ -202,6 +259,11 @@ class PortalServer(Listener):
                             text = f"no LF within {MAX_LINE_BYTES} bytes, answering NOK"
                             self.log.record(session_id, DIAG, text)
                             conn.sendall(b"NOK\n")
+                        # readline() also stops short when the receive
+                        # timeout expires; this peek raises BlockingIOError
+                        # then, and reads b"" only at EOF.
+                        elif conn.recv(1, socket.MSG_PEEK | socket.MSG_DONTWAIT):
+                            raise BlockingIOError  # bytes came after the timeout
                         return
                     # A trailing CR (Windows clients) is stripped.
                     line = raw[:-1].removesuffix(b"\r").decode("latin-1")
@@ -212,7 +274,7 @@ class PortalServer(Listener):
                     if outcome.end_session:
                         reason = "client disconnect command"
                         return
-        except socket.timeout:
+        except BlockingIOError:  # the receive or send timeout expired
             reason = "idle timeout"
             self.log.record(session_id, DIAG, "idle timeout, closing session")
         except OSError:

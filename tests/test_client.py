@@ -14,7 +14,9 @@ from hl7portal.client import (
     EXIT_CONNECT,
     EXIT_NOK,
     EXIT_OK,
+    MAX_REPLY_BYTES,
     LineReader,
+    ReplyTooLong,
     read_script,
     run_client,
 )
@@ -47,6 +49,7 @@ class TestLineReader:
             if line is None:
                 break
         thread.join()
+        reader.close()
         client.close()
         return lines
 
@@ -60,6 +63,33 @@ class TestLineReader:
 
     def test_eof_without_terminator_drops_partial(self):
         assert self.run_reader(b"complete\npartial") == [b"complete", None]
+
+    def test_line_longer_than_a_frame_is_refused(self):
+        server, client = socket.socketpair()
+        longest = b"y" * MAX_REPLY_BYTES
+        # Sent whole, then the peer stays open: the reader must stop at
+        # the bound rather than buffer until EOF.
+        payload = longest + b"\n" + b"x" * (MAX_REPLY_BYTES + 1)
+
+        def send():
+            try:
+                server.sendall(payload)
+            except OSError:
+                pass  # the reader closed its end first
+
+        pump = threading.Thread(target=send)
+        pump.start()
+        client.settimeout(5)
+        reader = LineReader(client)
+        try:
+            assert reader.readline() == longest
+            with pytest.raises(ReplyTooLong):
+                reader.readline()
+        finally:
+            reader.close()
+            client.close()
+            pump.join()
+            server.close()
 
 
 class TestReadScript:

@@ -151,14 +151,23 @@ def mock():
         yield server
 
 
+@pytest.fixture()
+def session():
+    """A fresh session whose upstream connection, if it opened one, is
+    closed after the test."""
+    session = Session("s1")
+    yield session
+    if session.upstream is not None:
+        session.upstream.close()
+
+
 def connect(interp, session, mock, user="demo", password="demo"):
     line = f"conectare(127.0.0.1, {mock.port}, {user}, {password});"
     return interp.handle_line(session, line).response
 
 
 class TestConnect:
-    def test_success(self, interp, mock):
-        session = Session("s1")
+    def test_success(self, interp, mock, session):
         assert connect(interp, session, mock) == "OK"
         assert session.upstream is not None
 
@@ -182,8 +191,7 @@ class TestConnect:
 
 
 class TestUsePatient:
-    def test_known_patient(self, interp, mock):
-        session = Session("s1")
+    def test_known_patient(self, interp, mock, session):
         connect(interp, session, mock)
         outcome = interp.handle_line(
             session, f"utilizarePacient({PATIENT_CNP}, ro);"
@@ -192,15 +200,13 @@ class TestUsePatient:
         assert session.language == "ro"
         assert session.patient.field_value("PID", 4) == "C. Marius"
 
-    def test_unknown_cnp(self, interp, mock):
-        session = Session("s1")
+    def test_unknown_cnp(self, interp, mock, session):
         connect(interp, session, mock)
         assert interp.handle_line(session, "utilizarePacient(999, ro);").response == "NOK"
         assert session.last_error == "Nu exista date."
         assert session.patient is None
 
-    def test_unknown_language_uses_default_pack_message(self, interp, mock):
-        session = Session("s1")
+    def test_unknown_language_uses_default_pack_message(self, interp, mock, session):
         connect(interp, session, mock)
         assert interp.handle_line(session, f"usePatient({PATIENT_CNP}, xx);").response == "NOK"
         assert session.last_error == "HL7 files not found! Please choose another language!"
@@ -210,19 +216,16 @@ class TestUsePatient:
         assert interp.handle_line(session, f"usePatient({PATIENT_CNP}, ro);").response == "NOK"
         assert "connected" in session.last_error.lower()
 
-    def test_empty_cnp(self, interp, mock):
-        session = Session("s1")
+    def test_empty_cnp(self, interp, mock, session):
         connect(interp, session, mock)
         assert interp.handle_line(session, "utilizarePacient(, ro);").response == "NOK"
 
-    def test_credentials_mismatch(self, interp, mock):
-        session = Session("s1")
+    def test_credentials_mismatch(self, interp, mock, session):
         assert connect(interp, session, mock, password="wrong") == "OK"  # TCP is up
         assert interp.handle_line(session, f"usePatient({PATIENT_CNP}, en);").response == "NOK"
         assert session.last_error == "No data available."
 
-    def test_repeated_use_patient_replaces(self, interp, mock):
-        session = Session("s1")
+    def test_repeated_use_patient_replaces(self, interp, mock, session):
         connect(interp, session, mock)
         interp.handle_line(session, f"usePatient({PATIENT_CNP}, en);")
         assert interp.handle_line(session, "usePatient(999, en);").response == "NOK"
@@ -232,8 +235,7 @@ class TestUsePatient:
 
 class TestGetters:
     @pytest.fixture()
-    def ready(self, interp, mock):
-        session = Session("s1")
+    def ready(self, interp, mock, session):
         connect(interp, session, mock)
         assert (
             interp.handle_line(session, f"utilizarePacient({PATIENT_CNP}, ro);").response
@@ -279,8 +281,7 @@ class TestLastErrorAndLifecycle:
         session = Session("s1")
         assert interp.handle_line(session, "ultimaEroare();").response == "None"
 
-    def test_last_error_flow(self, interp, mock):
-        session = Session("s1")
+    def test_last_error_flow(self, interp, mock, session):
         connect(interp, session, mock)
         interp.handle_line(session, f"utilizarePacient({PATIENT_CNP}, ro);")
         assert interp.handle_line(session, "serieCarteIdentitate();").response == "NOK"
@@ -365,10 +366,9 @@ class TestFailurePaths:
             == "Not connected to an HL7 server"
         )
 
-    def test_garbage_upstream_is_nok_not_crash(self, holder, simopac):
+    def test_garbage_upstream_is_nok_not_crash(self, holder, simopac, session):
         interp = Interpreter(holder, simopac, upstream_timeout_ms=1000)
         with MockHl7Server(misbehave="garbage") as mock:
-            session = Session("s1")
             assert connect(interp, session, mock) == "OK"
             assert (
                 interp.handle_line(session, f"usePatient({PATIENT_CNP}, ro);").response

@@ -77,20 +77,29 @@ class TestEventLog:
 
     def test_concurrent_records_never_tear(self, tmp_path):
         log = EventLog(tmp_path / "events.log")
-        per_thread = 200
+        per_thread = 5000  # long enough for the writer to drain mid-stream
 
         def hammer(worker: int):
             for i in range(per_thread):
                 log.record(f"w{worker}", "DIAG", f"event {i} " + "x" * 64)
 
         threads = [threading.Thread(target=hammer, args=(w,)) for w in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         log.close()
         records = read_records(log.path)  # shape-asserts every line
         assert len(records) == 8 * per_thread
+        for worker in range(8):
+            texts = [text for sid, _, text in records if sid == f"w{worker}"]
+            assert texts == [f"event {i} " + "x" * 64 for i in range(per_thread)]
 
     def test_unwritable_path_does_not_raise(self, tmp_path, capsys):
         log = EventLog(tmp_path)  # a directory: opening for append fails
@@ -131,6 +140,14 @@ class TestEventLog:
             ("s1", "RECV", "a\\x1cb"),
             ("s1", "DIAG", "C:\\\\packs\\\\"),
         ]
+
+    def test_record_reaches_the_file_without_close(self, tmp_path):
+        log = EventLog(tmp_path / "events.log")
+        try:
+            log.record("s1", "DIAG", "soon")
+            assert wait_for(lambda: read_records(log.path) == [("s1", "DIAG", "soon")], 1.0)
+        finally:
+            log.close()
 
     def test_record_after_close_writes_nothing(self, tmp_path, capsys):
         log = EventLog(tmp_path / "events.log")
@@ -176,6 +193,7 @@ class Client:
         return self.reader.readline()
 
     def close(self) -> None:
+        self.reader.close()
         try:
             self.sock.close()
         except OSError:
@@ -457,6 +475,12 @@ class TestSessions:
                 assert second.reader.readline() is None
                 second.close()
                 # The refused connection leaves only a DIAG trace.
+                assert wait_for(
+                    lambda: any(
+                        r[1] == "DIAG" and "client limit" in r[2]
+                        for r in read_records(portal.log.path)
+                    )
+                )
                 records = read_records(portal.log.path)
                 assert sum(r[1] == "CONNECT" for r in records) == 1
                 assert any(
@@ -507,6 +531,58 @@ class TestSessions:
             )
             records = read_records(portal.log.path)
             assert any(r[1] == "DIAG" and "idle" in r[2] for r in records)
+
+    def test_idle_timeout_after_a_partial_line(self, tmp_path):
+        config = ServerConfig(
+            listen_port=0,
+            host="127.0.0.1",
+            log_path=tmp_path / "events.log",
+            idle_timeout_s=0.3,
+        )
+        with PortalServer(config) as portal:
+            client = Client(portal.port)
+            try:
+                client.send(b"nume(")  # no LF, then silence
+                assert client.reader.readline() is None  # closed on idle
+            finally:
+                client.close()
+            assert wait_for(
+                lambda: any(r[1] == "DISCONNECT" for r in read_records(portal.log.path))
+            )
+            records = read_records(portal.log.path)
+            assert [r[1:] for r in records[1:]] == [
+                ("DIAG", "idle timeout, closing session"),
+                ("DISCONNECT", "idle timeout"),
+            ]
+
+    def test_client_that_stops_reading_gets_the_idle_timeout(self, tmp_path):
+        config = ServerConfig(
+            listen_port=0,
+            host="127.0.0.1",
+            log_path=tmp_path / "events.log",
+            idle_timeout_s=0.5,
+        )
+        with PortalServer(config) as portal:
+            sock = socket.socket()
+            try:
+                # A small receive window, and ~60 KB replies that are never
+                # read: the portal's sends block until the timeout ends one.
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.connect(("127.0.0.1", portal.port))
+                sock.sendall(b"x" * 60_000 + b"();\n" + b"ultimaEroare();\n" * 200)
+                assert wait_for(
+                    lambda: any(
+                        r[1] == "DISCONNECT" for r in read_records(portal.log.path)
+                    ),
+                    timeout=10,
+                )
+            finally:
+                sock.close()
+            records = read_records(portal.log.path)
+            assert [r[1:] for r in records[-2:]] == [
+                ("DIAG", "idle timeout, closing session"),
+                ("DISCONNECT", "idle timeout"),
+            ]
 
 
 class TestTraceContract:
@@ -610,6 +686,24 @@ class TestStop:
         records = [r for r in read_records(portal.log.path) if r[0] == "s1"]
         assert records[-1][1] == "DISCONNECT"
 
+    def test_no_thread_is_left_and_every_record_is_written(self, tmp_path):
+        before = set(threading.enumerate())
+        config = ServerConfig(
+            listen_port=0, host="127.0.0.1", log_path=tmp_path / "events.log"
+        )
+        portal = PortalServer(config)
+        portal.start()
+        client = Client(portal.port)
+        try:
+            for _ in range(50):
+                assert client.ask("ultimaEroare();") == b"None"
+            portal.stop()
+            assert set(threading.enumerate()) == before
+        finally:
+            client.close()
+        directions = [r[1] for r in read_records(portal.log.path)]
+        assert directions == ["CONNECT", *["RECV", "SEND"] * 50, "DISCONNECT"]
+
     def test_stop_without_start_returns(self, tmp_path):
         portal = PortalServer(ServerConfig(listen_port=0, log_path=tmp_path / "l"))
         stopper = threading.Thread(target=portal.stop, daemon=True)
@@ -688,9 +782,11 @@ def own_packs(tmp_path):
 class TestReloadHook:
     def test_reload_languages_records_diag(self, portal):
         portal.reload_languages()
-        assert any(
-            r[1] == "DIAG" and "reloaded" in r[2]
-            for r in read_records(portal.log.path)
+        assert wait_for(
+            lambda: any(
+                r[1] == "DIAG" and "reloaded" in r[2]
+                for r in read_records(portal.log.path)
+            )
         )
 
     def test_reload_to_no_language_keeps_the_packs_in_use(self, tmp_path, mock):
@@ -711,6 +807,7 @@ class TestReloadHook:
                 assert client.ask(f"usePatient({PATIENT_CNP}, ro);") == b"OK"
             finally:
                 client.close()
+            assert wait_for(lambda: reload_diags(portal.log.path))
             diags = reload_diags(portal.log.path)
             assert any("reload refused" in t for t in diags)
             assert not any("reloaded" in t for t in diags)
@@ -741,6 +838,7 @@ class TestReloadHook:
     def test_unreadable_pack_file_refuses_the_reload(self, portal, mock, monkeypatch):
         monkeypatch.setattr(lexicon, "_read_text", unreadable)
         portal.reload_languages()
+        assert wait_for(lambda: reload_diags(portal.log.path))
         diags = reload_diags(portal.log.path)
         assert len(diags) == 1
         assert diags[0].startswith("language registry reload refused: [Errno 5]")
